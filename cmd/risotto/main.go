@@ -206,14 +206,12 @@ func replay(cf *cliflags.Set, path, rebundle string, quiet bool) {
 	check(err)
 	b, err := selfheal.DecodeBundle(data)
 	check(err)
-	cfg, img, err := core.ReplayConfig(b)
+	img, restore, err := core.Replay(b)
 	check(err)
-	cfg.Obs = cf.Scope()
-	// Replay goes through the Config shim: bundles record the full replay
-	// Config verbatim. Tier-up is deliberately absent from bundles — its
-	// background promotion timing is not replayable — so replays run the
+	// Tier-up is deliberately absent from bundles — its background
+	// promotion timing is not replayable — so replays run the
 	// deterministic foreground pipeline only.
-	rt, err := core.NewFromConfig(cfg, img)
+	rt, err := core.New(img, restore, core.WithObs(cf.Scope()))
 	check(err)
 	_, runErr := rt.Run()
 

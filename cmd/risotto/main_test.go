@@ -100,7 +100,6 @@ func TestStatsFacadeMatchesRegistry(t *testing.T) {
 		{"core.selfheal.interp_blocks", st.InterpBlocks},
 		{"core.selfheal.promotions", st.Promotions},
 		{"core.superblock.blocks", st.Superblocks},
-		{"core.cache.shard_contention", st.ShardContention},
 		{"tcg.fence_merges_cross_block", st.CrossBlockFenceMerges},
 	} {
 		if got := snap.Counter(c.name); got != c.facade {

@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -28,33 +27,16 @@ var Variants = []core.Variant{
 }
 
 // RunGuest executes a built guest program under a variant and returns
-// (cycles, exitCode, stats).
-func RunGuest(b *portasm.Builder, v core.Variant, idl string) (uint64, uint64, core.Stats, error) {
-	return RunGuestQuantum(b, v, idl, 0)
-}
-
-// RunGuestQuantum is RunGuest with an explicit scheduling quantum.
-func RunGuestQuantum(b *portasm.Builder, v core.Variant, idl string, quantum int) (uint64, uint64, core.Stats, error) {
-	return RunGuestScoped(b, v, idl, quantum, nil)
-}
-
-// RunGuestScoped is RunGuestQuantum with an observability scope threaded
-// into the runtime, so callers can read the full metric/span snapshot of
-// the run rather than only the Stats façade. extra options append after
-// the standard ones (last wins) — the tier-up benchmarks use this to turn
-// promotion on without a parallel set of entry points.
-func RunGuestScoped(b *portasm.Builder, v core.Variant, idl string, quantum int, sc *obs.Scope, extra ...core.Option) (uint64, uint64, core.Stats, error) {
+// (cycles, exitCode, stats). opts apply after the variant and host-linker
+// options (last wins): a scheduling quantum, an observability scope to
+// read the run's full metric snapshot from, tier-up.
+func RunGuest(b *portasm.Builder, v core.Variant, idl string, opts ...core.Option) (uint64, uint64, core.Stats, error) {
 	img, err := b.BuildGuest("main")
 	if err != nil {
 		return 0, 0, core.Stats{}, err
 	}
-	opts := []core.Option{
-		core.WithVariant(v),
-		core.WithHostLinker(idl, nil),
-		core.WithQuantum(quantum),
-		core.WithObs(sc),
-	}
-	rt, err := core.New(img, append(opts, extra...)...)
+	base := []core.Option{core.WithVariant(v), core.WithHostLinker(idl, nil)}
+	rt, err := core.New(img, append(base, opts...)...)
 	if err != nil {
 		return 0, 0, core.Stats{}, err
 	}
@@ -122,7 +104,7 @@ func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		qemuCycles, qemuSum, _, err := RunGuestScoped(b, core.VariantQemu, "", 0, nil, extra...)
+		qemuCycles, qemuSum, _, err := RunGuest(b, core.VariantQemu, "", extra...)
 		if err != nil {
 			return nil, fmt.Errorf("%s/qemu: %w", k.Name, err)
 		}
@@ -135,11 +117,13 @@ func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row
 			}
 			// The risotto run carries a scope so its snapshot becomes the
 			// row's metric columns; other variants stay uninstrumented.
+			opts := extra
 			var sc *obs.Scope
 			if v == core.VariantRisotto {
 				sc = obs.NewScope("")
+				opts = append([]core.Option{core.WithObs(sc)}, extra...)
 			}
-			cyc, sum, _, err := RunGuestScoped(b, v, "", 0, sc, extra...)
+			cyc, sum, _, err := RunGuest(b, v, "", opts...)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v: %w", k.Name, v, err)
 			}
@@ -420,7 +404,7 @@ func Fig15(opsPerThread int) ([]Fig15Row, error) {
 			if err != nil {
 				return 0, err
 			}
-			cyc, sum, _, err := RunGuestQuantum(b, v, "", quantum)
+			cyc, sum, _, err := RunGuest(b, v, "", core.WithQuantum(quantum))
 			if err != nil {
 				return 0, err
 			}
@@ -510,21 +494,5 @@ func MetricColumns(snap obs.Snapshot) map[string]uint64 {
 			out["gauge."+name] = uint64(v)
 		}
 	}
-	return out
-}
-
-// SortedVariantNames lists fig12 column names for stable output.
-func SortedVariantNames(rows []Fig12Row) []string {
-	seen := map[string]bool{}
-	for _, r := range rows {
-		for k := range r.Relative {
-			seen[k] = true
-		}
-	}
-	var out []string
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

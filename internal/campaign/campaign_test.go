@@ -2,13 +2,24 @@ package campaign
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/litmusgen"
 )
+
+// readResults parses a campaign results stream: the header line followed
+// by records. A torn final line (campaign killed mid-write) is dropped;
+// any other malformed line is an error.
+func readResults(r io.Reader) (journal.Header, []Record, error) {
+	var recs []Record
+	hdr, _, err := journal.Read(r, FormatV1, func(rec Record) { recs = append(recs, rec) })
+	return hdr, recs, err
+}
 
 // smokeConfig is a small deterministic campaign used by several tests:
 // every shape family at both levels, a couple hundred tests total.
@@ -102,7 +113,7 @@ func TestCampaignCrashResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		hdr, recs, err := ReadResults(f)
+		hdr, recs, err := readResults(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +173,7 @@ func TestCampaignResumeAfterTornLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		_, recs, err := ReadResults(f)
+		_, recs, err := readResults(f)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -227,7 +238,7 @@ func TestCampaignExploreCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	_, recs, err := ReadResults(f)
+	_, recs, err := readResults(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func BenchmarkTranslation(b *testing.B) {
 	b.ResetTimer()
 	var guestBytes uint64
 	for i := 0; i < b.N; i++ {
-		rt, err := NewFromConfig(Config{Variant: VariantRisotto}, img)
+		rt, err := newRuntime(config{Variant: VariantRisotto}, img)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rt, err := NewFromConfig(Config{Variant: v}, img)
+				rt, err := newRuntime(config{Variant: v}, img)
 				if err != nil {
 					b.Fatal(err)
 				}

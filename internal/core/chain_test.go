@@ -39,7 +39,7 @@ func chainLoopImage(t *testing.T) (*guestimg.Image, uint64) {
 func TestChainingPreservesSemantics(t *testing.T) {
 	img, want := chainLoopImage(t)
 	for _, chain := range []bool{false, true} {
-		rt, err := NewFromConfig(Config{Variant: VariantRisotto, Chain: chain}, img)
+		rt, err := newRuntime(config{Variant: VariantRisotto, Chain: chain}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestChainingPreservesSemantics(t *testing.T) {
 func TestChainingSavesDispatchCycles(t *testing.T) {
 	img, _ := chainLoopImage(t)
 	run := func(chain bool) uint64 {
-		rt, err := NewFromConfig(Config{Variant: VariantRisotto, Chain: chain}, img)
+		rt, err := newRuntime(config{Variant: VariantRisotto, Chain: chain}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestChainingDifferentialRandomPrograms(t *testing.T) {
 		if err := ref.Run(2_000_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		rt, err := NewFromConfig(Config{Variant: VariantRisotto, Chain: true}, img)
+		rt, err := newRuntime(config{Variant: VariantRisotto, Chain: true}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestChainingLeavesHostCallsTrapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := newTestLib()
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Chain: true,
+	rt, err := newRuntime(config{Variant: VariantRisotto, Chain: true,
 		IDL: "i64 triple(i64 x);\n", Lib: lib}, img)
 	if err != nil {
 		t.Fatal(err)

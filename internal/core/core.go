@@ -55,16 +55,18 @@ func (v Variant) String() string {
 	return fmt.Sprintf("variant?%d", int(v))
 }
 
-// Config parameterizes a Runtime.
-type Config struct {
+// config parameterizes a Runtime. New fills it from options; fields no
+// option names keep the defaults newRuntime assigns, and crash-bundle
+// replay restores every field a bundle records.
+type config struct {
 	// Variant selects the DBT setup.
 	Variant Variant
 	// MemSize is the machine memory size (default 32 MiB).
 	MemSize int
-	// CodeCacheBase is where generated host code is placed (default:
-	// upper quarter of memory).
+	// CodeCacheBase is where generated host code is placed (the upper
+	// quarter of memory).
 	CodeCacheBase uint64
-	// StackSize per guest thread (default 256 KiB).
+	// StackSize per guest thread (256 KiB).
 	StackSize uint64
 	// IDL, when non-empty and the variant is Risotto, enables the host
 	// linker for the declared functions.
@@ -74,7 +76,7 @@ type Config struct {
 	Lib *hostlib.Library
 	// Quantum is the round-robin scheduling quantum in instructions.
 	Quantum int
-	// MaxSteps bounds total executed host instructions (default 2e9).
+	// MaxSteps bounds total executed host instructions (2e9).
 	MaxSteps uint64
 	// Opt, when non-nil, overrides the variant's optimizer configuration
 	// (used by the ablation benchmarks).
@@ -114,8 +116,8 @@ type Config struct {
 	// memory state, and quarantines the block on any register, memory or
 	// exit divergence — runtime translation validation. Implies SelfHeal.
 	SelfCheck bool
-	// MaxHeals caps quarantine recoveries per run (default 16 when
-	// SelfHeal is on).
+	// MaxHeals caps quarantine recoveries per run (16 when SelfHeal is
+	// on).
 	MaxHeals int
 	// Kernel, FaultSpec and FaultSeed record run provenance for crash
 	// bundles (the CLI inputs that produced this config). They do not
@@ -199,9 +201,6 @@ type Stats struct {
 	// block seams inside superblocks — merges the per-block scheme
 	// cannot see.
 	CrossBlockFenceMerges uint64
-	// ShardContention counts lock-stripe collisions on the sharded block
-	// cache and chain tables.
-	ShardContention uint64
 }
 
 // tb is one cached translation block.
@@ -223,7 +222,10 @@ type pltEntry struct {
 	name string
 }
 
-// Runtime is one emulated guest process.
+// Runtime is one emulated guest process. Its code-cache tables (tbs,
+// chainSites, patched, irCache, interpStubs) are touched only from the
+// machine's single execution goroutine — tier-up workers hand results back
+// over a channel (tierup.go) — so they are plain maps.
 type Runtime struct {
 	// M is the underlying simulated host machine.
 	M *machine.Machine
@@ -231,11 +233,11 @@ type Runtime struct {
 	obs *obs.Scope
 	met metrics
 
-	cfg        Config
+	cfg        config
 	feCfg      frontend.Config
 	beCfg      backend.Config
 	optCfg     tcg.OptConfig
-	tbs        *tbCache
+	tbs        map[uint64]*tb // guest PC → translation block
 	codeCursor uint64
 	plt        map[uint64]*pltEntry // guest PLT address → host function
 	stackCur   uint64
@@ -246,22 +248,22 @@ type Runtime struct {
 	// pipe is the underlying pipeline for span attribution.
 	xlat Translator
 	pipe *pipelineTranslator
-	// tierup is the promotion engine (nil unless Config.TierUp.Enabled).
+	// tierup is the promotion engine (nil unless WithTierUp enabled it).
 	tierup *tierUp
 	// chainSites maps the host address of a patchable exit SVC to its
 	// constant guest target (TB chaining).
-	chainSites *addrMap
+	chainSites map[uint64]uint64
 	// patched records exit SVCs rewritten into direct branches (host
 	// address → guest target), so a cache flush can restore them (chain
 	// reset) before recycling the region they branch into.
-	patched *addrMap
+	patched map[uint64]uint64
 	// pinned lists code-cache extents that survived the last flush
 	// because a CPU was still executing inside them; the allocator skips
 	// them until the next flush re-evaluates liveness.
 	pinned []extent
 
 	// heal is the quarantine registry (nil unless SelfHeal); heals counts
-	// recoveries consumed against Config.MaxHeals.
+	// recoveries consumed against config.MaxHeals.
 	heal  *selfheal.State
 	heals int
 	// irCache holds the frontend IR of interpreter-tier blocks, keyed by
@@ -291,9 +293,8 @@ const (
 func guestReg(c *machine.CPU, r x86.Reg) *uint64 { return &c.Regs[int(r)] }
 
 // newRuntime creates a runtime for the given config and loads the image.
-// Exported construction goes through New (functional options) or the
-// deprecated NewFromConfig shim, both in options.go.
-func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
+// Exported construction goes through New (options.go).
+func newRuntime(cfg config, img *guestimg.Image) (*Runtime, error) {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 32 << 20
 	}
@@ -328,10 +329,10 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		obs:         scope,
 		met:         met,
 		cfg:         cfg,
-		tbs:         newTBCache(met.shardContention),
+		tbs:         make(map[uint64]*tb),
 		plt:         make(map[uint64]*pltEntry),
-		chainSites:  newAddrMap(met.shardContention),
-		patched:     newAddrMap(met.shardContention),
+		chainSites:  make(map[uint64]uint64),
+		patched:     make(map[uint64]uint64),
 		irCache:     make(map[uint64]*tcg.Block),
 		interpStubs: make(map[uint64]uint64),
 	}
@@ -375,7 +376,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	rt.M.Deadline = cfg.Deadline
 	rt.M.Inject = cfg.Inject
 	if cfg.WeakSeed != nil {
-		rt.M.EnableWeakMemory(*cfg.WeakSeed, 48)
+		rt.M.EnableWeakMode(machine.NewRandomChooser(*cfg.WeakSeed, 48))
 	}
 
 	// The tier-translation entry point: the pipeline over live guest
@@ -482,7 +483,7 @@ func (rt *Runtime) dispatch(c *machine.CPU, guestPC uint64) error {
 	if rt.tierup != nil {
 		rt.tierup.tick(c, guestPC)
 	}
-	t, ok := rt.tbs.get(guestPC)
+	t, ok := rt.tbs[guestPC]
 	if !ok {
 		var err error
 		t, err = rt.translate(c, guestPC)
@@ -606,7 +607,7 @@ func (rt *Runtime) translateInterp(c *machine.CPU, guestPC uint64) (*tb, error) 
 	binary.LittleEndian.PutUint32(rt.M.Mem[base:], w)
 	rt.M.InvalidateDecodeAt(base)
 	t := &tb{guestPC: guestPC, hostAddr: base, codeLen: arm.InstBytes, tier: selfheal.TierInterp}
-	rt.tbs.put(t)
+	rt.tbs[guestPC] = t
 	rt.irCache[guestPC] = block
 	rt.interpStubs[base] = guestPC
 	rt.met.blocks.Inc()
@@ -668,7 +669,7 @@ func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (
 		copy(rt.M.Mem[base:], code)
 		t := &tb{guestPC: guestPC, hostAddr: base, codeLen: len(code)}
 		rt.codeCursor = (end + 15) &^ 15
-		rt.tbs.put(t)
+		rt.tbs[guestPC] = t
 
 		rt.met.blocks.Inc()
 		rt.met.guestBytes.Add(block.GuestEnd - block.GuestPC)
@@ -687,7 +688,7 @@ func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (
 				if _, linked := rt.plt[slot.GuestTarget]; linked {
 					continue
 				}
-				rt.chainSites.put(t.hostAddr+uint64(slot.Off), slot.GuestTarget)
+				rt.chainSites[t.hostAddr+uint64(slot.Off)] = slot.GuestTarget
 			}
 		}
 		// Miscompile injection: corrupt the freshly installed code by
@@ -735,16 +736,15 @@ func (rt *Runtime) pinnedOverlap(start, end uint64) (extent, bool) {
 func (rt *Runtime) flushCodeCache() {
 	w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit})
 	if err == nil {
-		for _, e := range rt.patched.snapshot() {
-			binary.LittleEndian.PutUint32(rt.M.Mem[e.addr:], w)
+		for addr := range rt.patched {
+			binary.LittleEndian.PutUint32(rt.M.Mem[addr:], w)
 		}
 	}
-	rt.patched.reset()
-	rt.chainSites.reset()
+	clear(rt.patched)
+	clear(rt.chainSites)
 
-	blocks := rt.tbs.snapshot()
-	candidates := make([]extent, 0, len(blocks)+len(rt.pinned))
-	for _, t := range blocks {
+	candidates := make([]extent, 0, len(rt.tbs)+len(rt.pinned))
+	for _, t := range rt.tbs {
 		candidates = append(candidates, extent{t.hostAddr, t.hostAddr + uint64(t.codeLen)})
 	}
 	candidates = append(candidates, rt.pinned...)
@@ -764,7 +764,7 @@ func (rt *Runtime) flushCodeCache() {
 	sort.Slice(pins, func(i, j int) bool { return pins[i].start < pins[j].start })
 	rt.pinned = pins
 
-	rt.tbs.reset()
+	clear(rt.tbs)
 	rt.codeCursor = rt.cfg.CodeCacheBase
 	// Interp stubs inside pinned extents may still execute (a CPU parked
 	// at the stub), so their reverse mapping must survive; the rest is
@@ -795,27 +795,27 @@ func (rt *Runtime) flushCodeCache() {
 // scheduler may still finish the stale copy once — any trap it produces is
 // attributed and quarantined again, bounded by MaxHeals.
 func (rt *Runtime) invalidateBlock(guestPC uint64) {
-	t, ok := rt.tbs.get(guestPC)
+	t, ok := rt.tbs[guestPC]
 	if !ok {
 		return
 	}
 	if w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit}); err == nil {
-		for _, e := range rt.patched.snapshot() {
-			if e.val != guestPC {
+		for addr, target := range rt.patched {
+			if target != guestPC {
 				continue
 			}
-			binary.LittleEndian.PutUint32(rt.M.Mem[e.addr:], w)
-			rt.M.InvalidateDecodeAt(e.addr)
-			rt.patched.remove(e.addr)
-			rt.chainSites.put(e.addr, e.val)
+			binary.LittleEndian.PutUint32(rt.M.Mem[addr:], w)
+			rt.M.InvalidateDecodeAt(addr)
+			delete(rt.patched, addr)
+			rt.chainSites[addr] = target
 		}
 	}
-	for _, e := range rt.chainSites.snapshot() {
-		if e.addr >= t.hostAddr && e.addr < t.hostAddr+uint64(t.codeLen) {
-			rt.chainSites.remove(e.addr)
+	for addr := range rt.chainSites {
+		if addr >= t.hostAddr && addr < t.hostAddr+uint64(t.codeLen) {
+			delete(rt.chainSites, addr)
 		}
 	}
-	rt.tbs.remove(guestPC)
+	delete(rt.tbs, guestPC)
 	delete(rt.irCache, guestPC)
 	delete(rt.interpStubs, t.hostAddr)
 }
@@ -835,10 +835,9 @@ func (rt *Runtime) chain(svcAddr uint64, target *tb) error {
 	}
 	binary.LittleEndian.PutUint32(rt.M.Mem[svcAddr:], w)
 	rt.M.InvalidateDecodeAt(svcAddr)
-	rt.chainSites.remove(svcAddr)
-	rt.patched.put(svcAddr, target.guestPC)
+	delete(rt.chainSites, svcAddr)
+	rt.patched[svcAddr] = target.guestPC
 	rt.met.chainPatches.Inc()
-	rt.met.chainPatchShards[shardIndex(svcAddr)].Inc()
 	rt.obs.Event("core.chain.patch", "", -1, target.guestPC, svcAddr)
 	return nil
 }
@@ -846,13 +845,12 @@ func (rt *Runtime) chain(svcAddr uint64, target *tb) error {
 // guestPCOf maps a host-code address back to the guest PC of the block
 // containing it, for trap attribution.
 func (rt *Runtime) guestPCOf(hostAddr uint64) (uint64, bool) {
-	t, ok := rt.tbs.find(func(t *tb) bool {
-		return hostAddr >= t.hostAddr && hostAddr < t.hostAddr+uint64(t.codeLen)
-	})
-	if !ok {
-		return 0, false
+	for _, t := range rt.tbs {
+		if hostAddr >= t.hostAddr && hostAddr < t.hostAddr+uint64(t.codeLen) {
+			return t.guestPC, true
+		}
 	}
-	return t.guestPC, true
+	return 0, false
 }
 
 // DisassembleBlock returns the host-code disassembly of the translation
@@ -861,7 +859,7 @@ func (rt *Runtime) guestPCOf(hostAddr uint64) (uint64, bool) {
 // render as raw ".word" lines instead of failing, so crash bundles can
 // disassemble the very block that trapped.
 func (rt *Runtime) DisassembleBlock(guestPC uint64) (string, error) {
-	t, ok := rt.tbs.get(guestPC)
+	t, ok := rt.tbs[guestPC]
 	if !ok {
 		var err error
 		t, err = rt.translate(rt.M.CPUs[0], guestPC)
@@ -893,10 +891,9 @@ func (rt *Runtime) disasmTB(t *tb) string {
 // BlockPCs returns every translated guest PC, sorted by translation order
 // is not guaranteed; callers sort as needed.
 func (rt *Runtime) BlockPCs() []uint64 {
-	blocks := rt.tbs.snapshot()
-	out := make([]uint64, 0, len(blocks))
-	for _, t := range blocks {
-		out = append(out, t.guestPC)
+	out := make([]uint64, 0, len(rt.tbs))
+	for pc := range rt.tbs {
+		out = append(out, pc)
 	}
 	return out
 }
@@ -908,14 +905,14 @@ func (rt *Runtime) handleSvc(m *machine.Machine, c *machine.CPU, imm uint16) err
 		if rt.cfg.Chain {
 			// c.PC was advanced past the SVC before the trap.
 			svcAddr := c.PC - arm.InstBytes
-			if guestTarget, ok := rt.chainSites.get(svcAddr); ok {
+			if guestTarget, ok := rt.chainSites[svcAddr]; ok {
 				if err := rt.dispatch(c, guestTarget); err != nil {
 					return err
 				}
 				// Translating the target may have flushed the cache, which
 				// clears chainSites and may recycle the block holding this
 				// SVC — re-check before patching it.
-				if _, still := rt.chainSites.get(svcAddr); !still {
+				if _, still := rt.chainSites[svcAddr]; !still {
 					return nil
 				}
 				// With tier-up on, a still-promotable target keeps trapping
@@ -928,7 +925,7 @@ func (rt *Runtime) handleSvc(m *machine.Machine, c *machine.CPU, imm uint16) err
 				// dispatch pointed the CPU at the target block (a host
 				// call would have redirected elsewhere; only patch when
 				// the target is a plain block).
-				if t, ok := rt.tbs.get(guestTarget); ok && c.PC == t.hostAddr {
+				if t, ok := rt.tbs[guestTarget]; ok && c.PC == t.hostAddr {
 					return rt.chain(svcAddr, t)
 				}
 				return nil

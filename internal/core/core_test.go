@@ -27,10 +27,10 @@ func exitWith(a *x86.Assembler, reg x86.Reg) {
 		Syscall()
 }
 
-func runImage(t *testing.T, img *guestimg.Image, v Variant, cfg Config) (*Runtime, uint64) {
+func runImage(t *testing.T, img *guestimg.Image, v Variant, cfg config) (*Runtime, uint64) {
 	t.Helper()
 	cfg.Variant = v
-	rt, err := NewFromConfig(cfg, img)
+	rt, err := newRuntime(cfg, img)
 	if err != nil {
 		t.Fatalf("%v: %v", v, err)
 	}
@@ -73,7 +73,7 @@ func TestSumLoopAllVariants(t *testing.T) {
 	}
 
 	for _, v := range allVariants {
-		rt, code := runImage(t, img, v, Config{})
+		rt, code := runImage(t, img, v, config{})
 		if code != want {
 			t.Errorf("%v: exit code = %d, want %d", v, code, want)
 		}
@@ -110,12 +110,12 @@ func TestFenceStatsPerVariant(t *testing.T) {
 	// nothing at the IR level for MFENCE (the x86 instruction still maps
 	// to Fsc under NoFences? — no: the no-fences variant removes only the
 	// per-access fences; explicit MFENCE still becomes Fsc).
-	rtNF, _ := runImage(t, img, VariantNoFences, Config{})
+	rtNF, _ := runImage(t, img, VariantNoFences, config{})
 	if rtNF.Stats().DMBLoad != 0 || rtNF.Stats().DMBStore != 0 {
 		t.Errorf("no-fences emitted access fences: %+v", rtNF.Stats())
 	}
 
-	rtQ, _ := runImage(t, img, VariantQemu, Config{})
+	rtQ, _ := runImage(t, img, VariantQemu, config{})
 	if rtQ.Stats().DMBLoad == 0 {
 		t.Errorf("qemu should emit DMBLD before loads: %+v", rtQ.Stats())
 	}
@@ -126,7 +126,7 @@ func TestFenceStatsPerVariant(t *testing.T) {
 		t.Errorf("qemu should emit DMBFF for stores: %+v", rtQ.Stats())
 	}
 
-	rtV, _ := runImage(t, img, VariantTCGVer, Config{})
+	rtV, _ := runImage(t, img, VariantTCGVer, config{})
 	if rtV.Stats().DMBStore == 0 {
 		t.Errorf("tcg-ver should emit DMBST before the final store: %+v", rtV.Stats())
 	}
@@ -173,7 +173,7 @@ func TestVariantCycleOrdering(t *testing.T) {
 
 	cycles := map[Variant]uint64{}
 	for _, v := range allVariants {
-		rt, _ := runImage(t, img, v, Config{})
+		rt, _ := runImage(t, img, v, config{})
 		cycles[v] = rt.M.MaxCycles()
 	}
 	if !(cycles[VariantNoFences] < cycles[VariantTCGVer]) {
@@ -221,7 +221,7 @@ func TestCASGuestSemantics(t *testing.T) {
 	}
 
 	for _, v := range allVariants {
-		rt, code := runImage(t, img, v, Config{})
+		rt, code := runImage(t, img, v, config{})
 		if code != 7 {
 			t.Errorf("%v: exit = %d, want 7 (old value after failed CAS)", v, code)
 		}
@@ -304,7 +304,7 @@ func TestThreadsAndAtomicCounter(t *testing.T) {
 	patchImm64(t, img, 0x7777777700000000, img.Symbols["worker"])
 
 	for _, v := range allVariants {
-		_, code := runImage(t, img, v, Config{})
+		_, code := runImage(t, img, v, config{})
 		if code != workers*iters {
 			t.Errorf("%v: counter = %d, want %d", v, code, workers*iters)
 		}
@@ -360,7 +360,7 @@ func TestHostLinker(t *testing.T) {
 	idlSrc := "i64 triple(i64 x);\n"
 
 	// Risotto with linker: host implementation runs (42).
-	rt, code := runImage(t, img, VariantRisotto, Config{IDL: idlSrc, Lib: lib})
+	rt, code := runImage(t, img, VariantRisotto, config{IDL: idlSrc, Lib: lib})
 	if code != 42 {
 		t.Errorf("risotto+linker: exit = %d, want 42 (host impl)", code)
 	}
@@ -370,7 +370,7 @@ func TestHostLinker(t *testing.T) {
 
 	// Every other variant translates the guest implementation (43).
 	for _, v := range []Variant{VariantQemu, VariantTCGVer, VariantNoFences} {
-		rt, code := runImage(t, img, v, Config{IDL: idlSrc, Lib: lib})
+		rt, code := runImage(t, img, v, config{IDL: idlSrc, Lib: lib})
 		if code != 43 {
 			t.Errorf("%v: exit = %d, want 43 (guest impl)", v, code)
 		}
@@ -381,7 +381,7 @@ func TestHostLinker(t *testing.T) {
 
 	// Risotto *without* IDL also translates the guest implementation —
 	// the linker has zero effect when unused (§7.3).
-	rt2, code := runImage(t, img, VariantRisotto, Config{})
+	rt2, code := runImage(t, img, VariantRisotto, config{})
 	if code != 43 || rt2.Stats().HostCalls != 0 {
 		t.Errorf("risotto w/o IDL: exit=%d hostcalls=%d", code, rt2.Stats().HostCalls)
 	}
@@ -402,7 +402,7 @@ func TestGuestWriteSyscall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _ := runImage(t, img, VariantRisotto, Config{})
+	rt, _ := runImage(t, img, VariantRisotto, config{})
 	if string(rt.M.Output) != "hi from guest\n" {
 		t.Fatalf("output = %q", rt.M.Output)
 	}
@@ -425,7 +425,7 @@ func TestGuestAllocSyscall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, code := runImage(t, img, VariantRisotto, Config{})
+	_, code := runImage(t, img, VariantRisotto, config{})
 	if code != 5 {
 		t.Fatalf("alloc roundtrip = %d, want 5", code)
 	}
@@ -447,7 +447,7 @@ func TestTBCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _ := runImage(t, img, VariantRisotto, Config{})
+	rt, _ := runImage(t, img, VariantRisotto, config{})
 	if rt.Stats().Blocks > 6 {
 		t.Fatalf("blocks translated = %d; cache not reused?", rt.Stats().Blocks)
 	}

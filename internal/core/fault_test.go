@@ -52,7 +52,7 @@ func TestFaultCacheExhaustRecovers(t *testing.T) {
 	const nblocks = 64
 	img := chainImage(t, nblocks, 3)
 	for _, chain := range []bool{false, true} {
-		cfg := Config{
+		cfg := config{
 			MemSize:       1 << 20,
 			CodeCacheBase: (1 << 20) - 0x800, // 2 KiB cache
 			Chain:         chain,
@@ -133,7 +133,7 @@ func TestFaultCacheExhaustWithThreads(t *testing.T) {
 	}
 	patchImm64(t, img, 0x7777777700000000, img.Symbols["worker"])
 
-	cfg := Config{
+	cfg := config{
 		MemSize:       2 << 20,
 		CodeCacheBase: (2 << 20) - 0x600, // 1.5 KiB cache
 		StackSize:     64 << 10,
@@ -189,10 +189,10 @@ func casLivelockImage(t *testing.T) *guestimg.Image {
 
 // expectBudgetTrap runs img expecting the step-budget watchdog to halt it
 // with a structured TrapBudget naming cpu0 and the spent steps.
-func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg Config) {
+func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg config) {
 	t.Helper()
 	cfg.Variant = VariantRisotto
-	rt, err := NewFromConfig(cfg, img)
+	rt, err := newRuntime(cfg, img)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -219,24 +219,24 @@ func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg Confi
 // budget, in both plain and weak-memory machine modes.
 func TestFaultWatchdogInfiniteLoop(t *testing.T) {
 	img := spinImage(t)
-	expectBudgetTrap(t, img, "plain", Config{StepBudget: 20_000})
+	expectBudgetTrap(t, img, "plain", config{StepBudget: 20_000})
 	seed := int64(7)
-	expectBudgetTrap(t, img, "weak", Config{StepBudget: 20_000, WeakSeed: &seed})
+	expectBudgetTrap(t, img, "weak", config{StepBudget: 20_000, WeakSeed: &seed})
 }
 
 // TestFaultWatchdogCASLivelock halts a livelocked CAS spin the same way —
 // the atomic path must hit the budget check too.
 func TestFaultWatchdogCASLivelock(t *testing.T) {
 	img := casLivelockImage(t)
-	expectBudgetTrap(t, img, "plain", Config{StepBudget: 20_000})
+	expectBudgetTrap(t, img, "plain", config{StepBudget: 20_000})
 	seed := int64(11)
-	expectBudgetTrap(t, img, "weak", Config{StepBudget: 20_000, WeakSeed: &seed})
+	expectBudgetTrap(t, img, "weak", config{StepBudget: 20_000, WeakSeed: &seed})
 }
 
 // TestFaultWatchdogDeadline halts a runaway guest via the wall-clock
 // watchdog when no step budget is set.
 func TestFaultWatchdogDeadline(t *testing.T) {
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Deadline: 50 * time.Millisecond}, spinImage(t))
+	rt, err := newRuntime(config{Variant: VariantRisotto, Deadline: 50 * time.Millisecond}, spinImage(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFaultMisalignedCAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto}, img)
+	rt, err := newRuntime(config{Variant: VariantRisotto}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestFaultMisalignedCAS(t *testing.T) {
 func TestFaultInjectedDecode(t *testing.T) {
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteDecode, 1, faults.TrapDecode)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, 4, 1))
+	rt, err := newRuntime(config{Variant: VariantRisotto, Inject: in}, chainImage(t, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestFaultInjectedUnmapped(t *testing.T) {
 
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteMemory, 3, faults.TrapUnmapped)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Inject: in}, img)
+	rt, err := newRuntime(config{Variant: VariantRisotto, Inject: in}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestFaultInjectedCacheExhaust(t *testing.T) {
 	const nblocks = 8
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteCacheAlloc, 1, faults.TrapCacheExhausted)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, nblocks, 1))
+	rt, err := newRuntime(config{Variant: VariantRisotto, Inject: in}, chainImage(t, nblocks, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestFaultInjectedHostCall(t *testing.T) {
 	lib.Register("triple", func(mem []byte, args []uint64) (uint64, uint64) {
 		return args[0] * 3, 10
 	})
-	rt, err := NewFromConfig(Config{
+	rt, err := newRuntime(config{
 		Variant: VariantRisotto, IDL: "i64 triple(i64 x);\n", Lib: lib, Inject: in,
 	}, img)
 	if err != nil {
@@ -415,7 +415,7 @@ func TestFaultTrapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto}, img)
+	rt, err := newRuntime(config{Variant: VariantRisotto}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,9 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		return nil
 
 	case GuestSysWrite:
-		if a0+a1 > uint64(len(m.Mem)) {
+		// Both operands are guest-controlled: compare without a0+a1,
+		// which can wrap.
+		if a1 > uint64(len(m.Mem)) || a0 > uint64(len(m.Mem))-a1 {
 			return fmt.Errorf("guest write: [%#x,+%d) out of bounds", a0, a1)
 		}
 		m.Output = append(m.Output, m.Mem[a0:a0+a1]...)
@@ -153,11 +155,19 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		return nil
 
 	case GuestSysAlloc:
+		// The heap grows up toward the stacks, keeping one stack of
+		// headroom per CPU. Checking the unrounded size too catches a
+		// guest size whose rounding wraps to a small n.
+		var free uint64
+		reserve := uint64(len(m.CPUs)) * rt.cfg.StackSize
+		if reserve < rt.stackCur && rt.heapCur < rt.stackCur-reserve {
+			free = rt.stackCur - reserve - rt.heapCur
+		}
 		n := (a0 + 0xF) &^ 0xF
-		addr := rt.heapCur
-		if addr+n >= rt.stackCur-uint64(len(m.CPUs))*rt.cfg.StackSize {
+		if a0 >= free || n >= free {
 			return fmt.Errorf("guest alloc: heap exhausted")
 		}
+		addr := rt.heapCur
 		rt.heapCur += n
 		*guestReg(c, x86.RAX) = addr
 		return nil

@@ -3,14 +3,14 @@
 //
 //   - runHealed/healTrap absorb traps attributable to a translated block
 //     by quarantining the block (invalidate + tier demotion) and resuming
-//     execution, bounded by Config.MaxHeals.
+//     execution, bounded by config.MaxHeals.
 //   - shadowVerify implements -selfcheck runtime translation validation:
 //     every freshly compiled block runs once on a snapshot of CPU and
 //     memory state, and its effects are compared against the TCG
 //     interpreter executing the literal frontend IR.
 //   - interpExec is the bottom tier: blocks demoted past every compiled
 //     tier execute through the TCG interpreter with no generated code.
-//   - CrashBundle/ReplayConfig serialize an unrecovered trap into a
+//   - CrashBundle/Replay serialize an unrecovered trap into a
 //     deterministic triage document and rebuild a run from one.
 
 package core
@@ -120,7 +120,7 @@ func (rt *Runtime) trapGuestPC(t *faults.Trap) (uint64, bool) {
 // TierNoOpt start tier; a promoted superblock at TierFull).
 func (rt *Runtime) quarantinePC(c *machine.CPU, guestPC uint64, reason string) bool {
 	cur := rt.heal.TierOf(guestPC)
-	if t, ok := rt.tbs.get(guestPC); ok {
+	if t, ok := rt.tbs[guestPC]; ok {
 		cur = t.tier
 	}
 	d := rt.heal.QuarantineAt(guestPC, cur, reason)
@@ -440,7 +440,7 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 		})
 	}
 	if pc, ok := rt.trapGuestPC(t); ok {
-		if blk, ok := rt.tbs.get(pc); ok {
+		if blk, ok := rt.tbs[pc]; ok {
 			b.Disasm = rt.disasmTB(blk)
 		}
 	}
@@ -460,47 +460,47 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 	return b, nil
 }
 
-// ReplayConfig rebuilds the Config and guest image a bundle describes,
-// rearming the fault injector from the recorded spec and seed. The
-// returned config carries no Obs scope; the caller installs its own.
-func ReplayConfig(b *selfheal.Bundle) (Config, *guestimg.Image, error) {
+// Replay decodes the guest image a crash bundle carries and returns the
+// option that restores the bundle's recorded configuration, rearming the
+// fault injector from the recorded spec and seed. It sets no Obs scope;
+// the caller passes its own WithObs after it.
+func Replay(b *selfheal.Bundle) (*guestimg.Image, Option, error) {
 	v, err := ParseVariant(b.Variant)
 	if err != nil {
-		return Config{}, nil, err
+		return nil, nil, err
 	}
 	img, err := guestimg.Decode(b.Image)
 	if err != nil {
-		return Config{}, nil, err
+		return nil, nil, err
 	}
-	cfg := Config{
-		Variant:       v,
-		MemSize:       b.MemSize,
-		CodeCacheBase: b.CodeCacheBase,
-		StackSize:     b.StackSize,
-		Quantum:       b.Quantum,
-		MaxSteps:      b.MaxSteps,
-		StepBudget:    b.StepBudget,
-		Deadline:      time.Duration(b.DeadlineNS),
-		Chain:         b.Chain,
-		SelfHeal:      b.SelfHeal,
-		SelfCheck:     b.SelfCheck,
-		MaxHeals:      b.MaxHeals,
-		Kernel:        b.Kernel,
-		FaultSpec:     b.Fault,
-		FaultSeed:     b.FaultSeed,
-		WeakSeed:      b.WeakSeed,
-		IDL:           b.IDL,
-	}
+	var inj *faults.Injector
 	if b.Fault != "" {
 		specs, err := faults.ParseSpecs(b.Fault)
 		if err != nil {
-			return Config{}, nil, err
+			return nil, nil, err
 		}
-		inj := faults.NewInjector(b.FaultSeed)
+		inj = faults.NewInjector(b.FaultSeed)
 		for _, sp := range specs {
 			sp.Arm(inj)
 		}
-		cfg.Inject = inj
 	}
-	return cfg, img, nil
+	restore := func(c *config) {
+		c.Variant = v
+		c.MemSize = b.MemSize
+		c.CodeCacheBase = b.CodeCacheBase
+		c.StackSize = b.StackSize
+		c.Quantum = b.Quantum
+		c.MaxSteps = b.MaxSteps
+		c.StepBudget = b.StepBudget
+		c.Deadline = time.Duration(b.DeadlineNS)
+		c.Chain = b.Chain
+		c.SelfHeal = b.SelfHeal
+		c.SelfCheck = b.SelfCheck
+		c.MaxHeals = b.MaxHeals
+		c.Kernel, c.FaultSpec, c.FaultSeed = b.Kernel, b.Fault, b.FaultSeed
+		c.WeakSeed = b.WeakSeed
+		c.IDL = b.IDL
+		c.Inject = inj
+	}
+	return img, restore, nil
 }

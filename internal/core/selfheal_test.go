@@ -20,7 +20,7 @@ func TestSelfhealFaultRecoversMiscompile(t *testing.T) {
 	const nblocks = 4
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteMiscompile, 1, faults.TrapMiscompile)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, SelfHeal: true, Inject: in},
+	rt, err := newRuntime(config{Variant: VariantRisotto, SelfHeal: true, Inject: in},
 		chainImage(t, nblocks, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestSelfcheckFaultDetectsMiscompile(t *testing.T) {
 	const nblocks = 4
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteMiscompile, 1, faults.TrapMiscompile)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, SelfCheck: true, Inject: in},
+	rt, err := newRuntime(config{Variant: VariantRisotto, SelfCheck: true, Inject: in},
 		chainImage(t, nblocks, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestSelfcheckFaultDetectsMiscompile(t *testing.T) {
 // result is unchanged.
 func TestSelfcheckCleanRunVerifies(t *testing.T) {
 	const nblocks = 6
-	plain, perr := NewFromConfig(Config{Variant: VariantRisotto}, chainImage(t, nblocks, 2))
+	plain, perr := newRuntime(config{Variant: VariantRisotto}, chainImage(t, nblocks, 2))
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -88,7 +88,7 @@ func TestSelfcheckCleanRunVerifies(t *testing.T) {
 		t.Fatal(perr)
 	}
 
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, SelfCheck: true}, chainImage(t, nblocks, 2))
+	rt, err := newRuntime(config{Variant: VariantRisotto, SelfCheck: true}, chainImage(t, nblocks, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +156,14 @@ func interpWorkloadImage(t *testing.T, iters int) *guestimg.Image {
 func TestInterpTierExecutes(t *testing.T) {
 	const iters = 64
 	img := interpWorkloadImage(t, iters)
-	cfg := Config{StackSize: 64 << 10}
+	cfg := config{StackSize: 64 << 10}
 
 	_, want := runImage(t, img, VariantRisotto, cfg)
 	if want != iters {
 		t.Fatalf("compiled run = %d, want %d", want, iters)
 	}
 	// Learn the block PCs from a compiled run, then force them all down.
-	probe, err := NewFromConfig(Config{Variant: VariantRisotto, StackSize: 64 << 10}, img)
+	probe, err := newRuntime(config{Variant: VariantRisotto, StackSize: 64 << 10}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestInterpTierExecutes(t *testing.T) {
 		t.Fatal("probe run translated no blocks")
 	}
 
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, StackSize: 64 << 10, SelfHeal: true}, img)
+	rt, err := newRuntime(config{Variant: VariantRisotto, StackSize: 64 << 10, SelfHeal: true}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTierLadderWalksToInterp(t *testing.T) {
 	in.Arm(faults.SiteMiscompile, 2, faults.TrapMiscompile)
 	in.Arm(faults.SiteMiscompile, 3, faults.TrapMiscompile)
 	img := chainImage(t, nblocks, 2)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, SelfHeal: true, Inject: in}, img)
+	rt, err := newRuntime(config{Variant: VariantRisotto, SelfHeal: true, Inject: in}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +232,14 @@ func TestTierLadderWalksToInterp(t *testing.T) {
 }
 
 // TestCrashBundleReplayReproducesTrap is the determinism contract end to
-// end: an unrecovered injected trap serializes into a bundle, ReplayConfig
+// end: an unrecovered injected trap serializes into a bundle, Replay
 // rebuilds the run, the replay produces the identical trap, and re-bundling
 // the replay yields byte-identical output.
 func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 	img := chainImage(t, 4, 1)
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteDecode, 3, faults.TrapDecode)
-	rt, err := NewFromConfig(Config{
+	rt, err := newRuntime(config{
 		Variant:   VariantRisotto,
 		FaultSpec: "decode@3",
 		FaultSeed: 1,
@@ -268,12 +268,11 @@ func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 		t.Fatalf("bundle does not round-trip: %v", err)
 	}
 
-	cfg, rimg, err := ReplayConfig(back)
+	rimg, restore, err := Replay(back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Obs = obs.NewScope("")
-	rt2, err := NewFromConfig(cfg, rimg)
+	rt2, err := New(rimg, restore, WithObs(obs.NewScope("")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 // TestCrashBundleRequiresTrap pins the error contract: only structured
 // traps bundle.
 func TestCrashBundleRequiresTrap(t *testing.T) {
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto}, chainImage(t, 2, 1))
+	rt, err := newRuntime(config{Variant: VariantRisotto}, chainImage(t, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +315,7 @@ func TestCrashBundleRequiresTrap(t *testing.T) {
 // with nothing outside, including the exactly-adjacent ranges on both sides
 // and an adjacent second extent.
 func TestPinnedOverlapBoundaries(t *testing.T) {
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto}, chainImage(t, 2, 1))
+	rt, err := newRuntime(config{Variant: VariantRisotto}, chainImage(t, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +354,7 @@ func TestPinnedOverlapBoundaries(t *testing.T) {
 // halted CPUs never pin.
 func TestFlushPinsExactEdges(t *testing.T) {
 	newRT := func() *Runtime {
-		rt, err := NewFromConfig(Config{Variant: VariantRisotto}, chainImage(t, 2, 1))
+		rt, err := newRuntime(config{Variant: VariantRisotto}, chainImage(t, 2, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +363,7 @@ func TestFlushPinsExactEdges(t *testing.T) {
 	const codeLen = 32
 	plant := func(rt *Runtime) extent {
 		base := rt.codeCursor
-		rt.tbs.put(&tb{guestPC: 0x10000, hostAddr: base, codeLen: codeLen})
+		rt.tbs[0x10000] = &tb{guestPC: 0x10000, hostAddr: base, codeLen: codeLen}
 		return extent{start: base, end: base + codeLen}
 	}
 

@@ -39,9 +39,10 @@ type TierUpConfig struct {
 	// SuperblockMax bounds how many guest blocks one promoted superblock
 	// may stitch (default 4; 1 disables superblocks but keeps promotion).
 	SuperblockMax int
-	// Workers is the background translation worker count (default 2).
-	Workers int
 }
+
+// promotionWorkers is the background translation worker count.
+const promotionWorkers = 2
 
 // withDefaults backfills zero fields.
 func (tc TierUpConfig) withDefaults() TierUpConfig {
@@ -50,9 +51,6 @@ func (tc TierUpConfig) withDefaults() TierUpConfig {
 	}
 	if tc.SuperblockMax <= 0 {
 		tc.SuperblockMax = 4
-	}
-	if tc.Workers <= 0 {
-		tc.Workers = 2
 	}
 	return tc
 }
@@ -133,7 +131,7 @@ func (tu *tierUp) start() {
 	fe := tu.rt.feCfg
 	fe.Inject = nil
 	opt := tu.rt.optCfg
-	for i := 0; i < tu.cfg.Workers; i++ {
+	for i := 0; i < promotionWorkers; i++ {
 		tu.wg.Add(1)
 		go func() {
 			defer tu.wg.Done()
@@ -263,7 +261,7 @@ func (tu *tierUp) install(c *machine.CPU, p *promotion) {
 		return
 	}
 	from := rt.heal.TierOf(p.pc)
-	if t, ok := rt.tbs.get(p.pc); ok {
+	if t, ok := rt.tbs[p.pc]; ok {
 		from = t.tier // the installed copy's actual rung (implicit TierNoOpt)
 	}
 	rt.invalidateBlock(p.pc)

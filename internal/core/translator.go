@@ -4,10 +4,10 @@
 // and the transcache ForImage view's load/store dance — each reaching into
 // Runtime internals. They are now implementations of a single exported
 // interface, so serve/transcache/selfheal consume translation through one
-// surface (DESIGN.md §2). The interpreter tier is the deliberate
-// exception: it produces no optimized IR to emit (the literal frontend IR
-// runs through the TCG interpreter), so translateInterp stays a separate
-// path.
+// surface (DESIGN.md §2). Two paths stay separate: the interpreter tier
+// produces no optimized IR to emit (the literal frontend IR runs through
+// the TCG interpreter), and tier-up's promotion workers stitch superblocks
+// from frontend.Translate over a guest-text snapshot (buildPromotion).
 
 package core
 
@@ -33,9 +33,10 @@ type Translator interface {
 func (rt *Runtime) Translator() Translator { return rt.xlat }
 
 // pipelineTranslator is the frontend → optimizer pipeline over a guest
-// memory view. The runtime's instance reads live guest memory; promotion
-// workers build their own over a snapshot. cpu is span attribution only
-// (-1 for background work); obs may be nil to silence spans entirely.
+// memory view; the runtime's instance reads live guest memory. Promotion
+// workers do not use it: buildPromotion calls frontend.Translate directly
+// over its guest-text snapshot. cpu is span attribution only (-1 outside
+// a vCPU).
 type pipelineTranslator struct {
 	mem        []byte
 	fe         frontend.Config
@@ -46,14 +47,9 @@ type pipelineTranslator struct {
 }
 
 func (p *pipelineTranslator) TranslateIR(pc uint64, tier selfheal.Tier) (*tcg.Block, *tcg.Block, error) {
-	var tstart int64
-	if p.obs != nil {
-		tstart = p.obs.Begin()
-	}
+	tstart := p.obs.Begin()
 	block, err := frontend.Translate(p.mem, pc, p.fe)
-	if p.obs != nil {
-		p.obs.Span("frontend.decode", "", p.cpu, pc, 0, tstart)
-	}
+	p.obs.Span("frontend.decode", "", p.cpu, pc, 0, tstart)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -61,14 +57,9 @@ func (p *pipelineTranslator) TranslateIR(pc uint64, tier selfheal.Tier) (*tcg.Bl
 	if p.keepOracle {
 		oracle = block.Clone()
 	}
-	var ostart int64
-	if p.obs != nil {
-		ostart = p.obs.Begin()
-	}
+	ostart := p.obs.Begin()
 	tcg.Optimize(block, p.opt.Degrade(tier.OptLevel()))
-	if p.obs != nil {
-		p.obs.Span("tcg.opt", "", p.cpu, pc, 0, ostart)
-	}
+	p.obs.Span("tcg.opt", "", p.cpu, pc, 0, ostart)
 	return block, oracle, nil
 }
 

@@ -2,11 +2,13 @@ package explore
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/litmus"
 	"repro/internal/models/opref"
 	"repro/internal/opcheck"
@@ -19,6 +21,14 @@ func run(t *testing.T, p *litmus.Program, cfg Config) *Result {
 		t.Fatalf("explore %s: %v", p.Name, err)
 	}
 	return res
+}
+
+// readSoak parses a soak results stream (header then records), tolerating
+// a torn final line.
+func readSoak(r io.Reader) (journal.Header, []SoakRecord, error) {
+	var recs []SoakRecord
+	hdr, _, err := journal.Read(r, SoakFormatV1, func(rec SoakRecord) { recs = append(recs, rec) })
+	return hdr, recs, err
 }
 
 // TestDPORReachesAllAllowedOutcomes: exhaustive exploration against the
@@ -279,7 +289,7 @@ func TestSoakFileResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data.Close()
-	_, recs, err := ReadSoak(data)
+	_, recs, err := readSoak(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/journal"
 	"repro/internal/litmus"
@@ -221,13 +220,6 @@ func Replay(p *litmus.Program, tr *Trace, cfg Config) (*Trace, error) {
 // SoakFormatV1 is the resumable soak-results format tag.
 const SoakFormatV1 = "risotto-explore/v1"
 
-// SoakHeader pins the producing configuration, campaign-style: resuming
-// against a different configuration would mix incomparable records.
-type SoakHeader struct {
-	Format     string `json:"format"`
-	ConfigHash string `json:"config_hash"`
-}
-
 // SoakRecord is one test's exploration summary line.
 type SoakRecord struct {
 	Test       string  `json:"test"`
@@ -270,51 +262,14 @@ type Soak struct {
 // With resume false the file is created fresh; with resume true the
 // existing header is validated against cfg's hash, tests already recorded
 // are skipped, and the torn tail (if the previous soak was killed
-// mid-write) is truncated before appending — the crash-resume discipline
-// of the campaign results files.
+// mid-write) is truncated before appending (journal.Open).
 func RunFile(tests []*litmus.Program, cfg Config, path string, resume bool) (Soak, error) {
 	var soak Soak
 	done := map[string]bool{}
-	var out *os.File
-	if resume {
-		f, err := os.Open(path)
-		if err != nil {
-			return soak, err
-		}
-		hdr, recs, valid, err := readSoak(f)
-		f.Close()
-		if err != nil {
-			return soak, fmt.Errorf("explore: reading %s for resume: %w", path, err)
-		}
-		if hdr.ConfigHash != cfg.Hash() {
-			return soak, fmt.Errorf("explore: %s was produced by config %s, refusing to resume with %s",
-				path, hdr.ConfigHash, cfg.Hash())
-		}
-		for _, r := range recs {
-			done[r.Test] = true
-		}
-		out, err = os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return soak, err
-		}
-		if err := out.Truncate(valid); err != nil {
-			out.Close()
-			return soak, err
-		}
-		if _, err := out.Seek(valid, io.SeekStart); err != nil {
-			out.Close()
-			return soak, err
-		}
-	} else {
-		var err error
-		out, err = os.Create(path)
-		if err != nil {
-			return soak, err
-		}
-		if err := journal.NewWriter(out).Encode(SoakHeader{Format: SoakFormatV1, ConfigHash: cfg.Hash()}); err != nil {
-			out.Close()
-			return soak, err
-		}
+	hdr := journal.Header{Format: SoakFormatV1, ConfigHash: cfg.Hash()}
+	out, err := journal.Open(path, hdr, resume, func(rec SoakRecord) { done[rec.Test] = true })
+	if err != nil {
+		return soak, fmt.Errorf("explore: %w", err)
 	}
 	defer out.Close()
 
@@ -340,42 +295,4 @@ func RunFile(tests []*litmus.Program, cfg Config, path string, resume bool) (Soa
 		soak.Records = append(soak.Records, rec)
 	}
 	return soak, nil
-}
-
-// ReadSoak parses a soak results stream (header then records), tolerating
-// a torn final line.
-func ReadSoak(r io.Reader) (SoakHeader, []SoakRecord, error) {
-	hdr, recs, _, err := readSoak(r)
-	return hdr, recs, err
-}
-
-func readSoak(r io.Reader) (SoakHeader, []SoakRecord, int64, error) {
-	var hdr SoakHeader
-	var recs []SoakRecord
-	sawHeader := false
-	valid, err := journal.Scan(r, func(line []byte) error {
-		if !sawHeader {
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return fmt.Errorf("explore: bad soak header: %w", err)
-			}
-			if hdr.Format != SoakFormatV1 {
-				return fmt.Errorf("explore: unknown soak format %q", hdr.Format)
-			}
-			sawHeader = true
-			return nil
-		}
-		var rec SoakRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("explore: bad soak record: %w", err)
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return hdr, nil, 0, err
-	}
-	if !sawHeader {
-		return hdr, nil, 0, io.EOF
-	}
-	return hdr, recs, valid, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -221,5 +223,54 @@ func TestScanTruncateAppendRoundTrip(t *testing.T) {
 	n, _ = count(buf2.Bytes())
 	if n != 4 {
 		t.Fatalf("after heal+append: %d records, want 4", n)
+	}
+}
+
+// TestOpenResume walks the resumable-file lifecycle: create with a
+// header, tear the last append, resume (torn tail truncated, records
+// replayed), and refuse a resume under a different config hash.
+func TestOpenResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	hdr := Header{Format: "test/v1", ConfigHash: "abc"}
+	f, err := Open(path, hdr, false, func(rec) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(f)
+	for i := 0; i < 2; i++ {
+		if err := w.Encode(rec{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.WriteString(`{"n":9`) // torn append
+	f.Close()
+
+	var seen []int
+	f, err = Open(path, hdr, true, func(r rec) { seen = append(seen, r.N) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewWriter(f).Encode(rec{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if len(seen) != 2 {
+		t.Fatalf("resume replayed %v, want records 0 and 1", seen)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"format":"test/v1","config_hash":"abc"}` + "\n" +
+		`{"n":0,"s":""}` + "\n" + `{"n":1,"s":""}` + "\n" + `{"n":2,"s":""}` + "\n"
+	if string(data) != want {
+		t.Fatalf("resumed file:\n%s\nwant:\n%s", data, want)
+	}
+
+	if _, err := Open(path, Header{Format: "test/v1", ConfigHash: "other"}, true, func(rec) {}); err == nil {
+		t.Fatal("resume under a different config hash must be refused")
+	}
+	if _, err := Open(path, Header{Format: "test/v2", ConfigHash: "abc"}, true, func(rec) {}); err == nil {
+		t.Fatal("resume of a different format must be refused")
 	}
 }

@@ -143,7 +143,7 @@ func locName(i int) litmus.Loc {
 // thread: nothing, a fence (level-specific flavours), or a syntactic
 // dependency from the nearest preceding read into the later access.
 const (
-	gapNone = iota
+	gapNone      = iota
 	gapFenceFull // MFENCE (x86) or DMB ISH (arm)
 	gapFenceLD   // DMB ISHLD (arm only)
 	gapFenceST   // DMB ISHST (arm only)

@@ -118,7 +118,7 @@ func TestWeakSnapshotRestore(t *testing.T) {
 	}
 
 	m := New(1 << 12)
-	m.EnableWeakMemory(7, 48)
+	m.EnableWeakMode(NewRandomChooser(7, 48))
 	c := m.CPUs[0]
 	for i := 0; i < 6; i++ {
 		if err := m.weakStore(c, 0x100+uint64(8*i), 8, uint64(i+1)); err != nil {

@@ -241,7 +241,7 @@ func TestWeakEnabledFlag(t *testing.T) {
 	if m.WeakEnabled() {
 		t.Fatal("weak mode should default off")
 	}
-	m.EnableWeakMemory(1, 0) // 0 → default drain prob
+	m.EnableWeakMode(NewRandomChooser(1, 0)) // 0 → default drain prob
 	if !m.WeakEnabled() {
 		t.Fatal("weak mode should be on")
 	}

@@ -37,13 +37,6 @@ type weakState struct {
 	nextSeq uint64
 }
 
-// EnableWeakMemory switches the machine into weak mode driven by a seeded
-// RandomChooser — the legacy entry point. drainProb256 is the per-step
-// drain probability in 1/256ths (64 ≈ drain every 4 steps).
-func (m *Machine) EnableWeakMemory(seed int64, drainProb256 int) {
-	m.EnableWeakMode(NewRandomChooser(seed, drainProb256))
-}
-
 // EnableWeakMode switches the machine into weak mode with an explicit
 // chooser. A nil chooser disables automatic drains entirely: stores buffer
 // and forward, but retire only through explicit DrainWeak/FlushWeak calls

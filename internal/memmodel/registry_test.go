@@ -8,7 +8,7 @@ import (
 // plainModel is a Model without Prepare; preparedTestModel adds it.
 type plainModel struct{ name string }
 
-func (m plainModel) Name() string                { return m.name }
+func (m plainModel) Name() string                 { return m.name }
 func (m plainModel) Consistent(x *Execution) bool { return true }
 
 type preparedTestModel struct{ plainModel }

@@ -108,13 +108,6 @@ func forkJoin(b *portasm.Builder, threads int, emitAfter func()) {
 	emitAfter()
 }
 
-// exitZero ends the main thread with code 0.
-func exitZero(b *portasm.Builder) func() {
-	return func() {
-		b.MovI(r0, 0).Exit(r0)
-	}
-}
-
 // exitChecksum ends main with the 8-byte value at addr (mod 2^32 to keep
 // exit codes readable).
 func exitChecksum(b *portasm.Builder, addr uint64) func() {

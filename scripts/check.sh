@@ -3,9 +3,10 @@
 #
 #   ./scripts/check.sh
 #
-# It runs vet, a full build, the full test suite, and — because the litmus
-# enumerator and its memoization cache are concurrent subsystems — the race
-# detector over the packages that exercise them. Two rel-engine stages ride
+# It runs a gofmt check (any file `gofmt -l` lists fails), vet, a full
+# build, the full test suite, and — because the litmus enumerator and its
+# memoization cache are concurrent subsystems — the race detector over the
+# packages that exercise them. Two rel-engine stages ride
 # along: the -tags relmap differential run proves the reference map engine
 # still satisfies the whole memmodel/models/litmus stack (so the default
 # bitset engine is pinned against it), and a one-iteration bench smoke keeps
@@ -16,6 +17,10 @@
 # must find zero axiomatic-disallowed outcomes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt needed on:" >&2; echo "$unformatted" >&2; exit 1; }
 
 echo "==> go vet ./..."
 go vet ./...
