@@ -9,7 +9,6 @@
 //	risobench fig15 [-ops N]
 //	risobench motivation     # §3 translation-error reproduction
 //	risobench verify         # §5.4 Theorem-1 sweep over the corpus
-//	risobench campaign       # generated-corpus campaign throughput
 //	risobench all
 //
 // The shared -workers/-fault/-fault-seed flags tune the litmus
@@ -26,10 +25,8 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/campaign"
 	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/litmusgen"
 )
 
 func main() {
@@ -44,10 +41,6 @@ func main() {
 	calls := fs.Int("calls", 0, "library invocation count (fig13/fig14; 0 = defaults)")
 	ops := fs.Int("ops", 0, "CAS ops per thread (fig15; 0 = default)")
 	csvDir := fs.String("csv", "", "also write raw results as CSV into this directory")
-	genSeed := fs.Int64("seed", 1, "generator seed (campaign)")
-	maxPerShape := fs.Int("max-per-shape", 25, "generated tests per shape/level stream (campaign; 0 = no cap)")
-	maxTests := fs.Int("max-tests", 0, "cap on total generated tests (campaign; 0 = no cap)")
-	opcheckSeeds := fs.Int("opcheck-seeds", 2, "seeds per soundness check (campaign; negative = skip opcheck)")
 	cf := cliflags.Register(fs)
 	cf.AddTierUp(fs)
 	if err := fs.Parse(os.Args[2:]); err != nil {
@@ -104,23 +97,6 @@ func main() {
 			fmt.Println(bench.MotivationReport(enumOpts...))
 		case "verify":
 			fmt.Println(bench.VerifyReport(enumOpts...))
-		case "campaign":
-			cfg := campaign.Config{
-				Gen: litmusgen.Config{
-					Seed:        *genSeed,
-					MaxTests:    *maxTests,
-					MaxPerShape: *maxPerShape,
-				},
-				Workers:      cf.WorkerCount(),
-				OpcheckSeeds: *opcheckSeeds,
-				Obs:          cf.Scope(),
-			}
-			sum, err := bench.CampaignRun(cfg)
-			check(err)
-			fmt.Println(bench.RenderCampaign(cfg, sum))
-			if sum.Fail > 0 {
-				check(fmt.Errorf("campaign: %d failing verdicts", sum.Fail))
-			}
 		default:
 			usage()
 		}
@@ -144,6 +120,6 @@ func check(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: risobench {fig12|fig13|fig14|fig15|motivation|verify|campaign|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: risobench {fig12|fig13|fig14|fig15|motivation|verify|all} [flags]")
 	os.Exit(2)
 }

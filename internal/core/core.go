@@ -575,16 +575,12 @@ func (rt *Runtime) translateAtTier(c *machine.CPU, guestPC uint64, tier selfheal
 // a single SVC #SvcInterp stub in the code cache plus the block's literal
 // frontend IR in the IR cache. handleSvc recognizes the stub and runs the
 // IR through the TCG interpreter — no code generation is trusted at all.
-// The frontend runs with SyscallBarrier so a blocked syscall (join) can
-// retry the whole block from its stub.
 func (rt *Runtime) translateInterp(c *machine.CPU, guestPC uint64) (*tb, error) {
 	if t := rt.cfg.Inject.Hit(faults.SiteCacheAlloc); t != nil {
 		return nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
 	}
-	fe := rt.feCfg
-	fe.SyscallBarrier = true
 	tstart := rt.obs.Begin()
-	block, err := frontend.Translate(rt.M.Mem, guestPC, fe)
+	block, err := frontend.Translate(rt.M.Mem, guestPC, rt.feCfg)
 	rt.obs.Span("frontend.decode", "interp", c.ID, guestPC, 0, tstart)
 	if err != nil {
 		if t, ok := faults.As(err); ok {
@@ -944,7 +940,7 @@ func (rt *Runtime) handleSvc(m *machine.Machine, c *machine.CPU, imm uint16) err
 			return faults.New(faults.TrapDecode,
 				"core: stray interp stub at %#x", svcAddr).WithCPU(c.ID).WithHostPC(svcAddr)
 		}
-		return rt.interpExec(c, gpc, svcAddr)
+		return rt.interpExec(c, gpc)
 	case backend.SvcMiscompile:
 		// Injected translation corruption executed: surface the structured
 		// miscompile trap, attributed to the containing block so the

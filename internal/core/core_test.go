@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/guestimg"
 	"repro/internal/hostlib"
 	"repro/internal/isa/x86"
@@ -307,6 +308,51 @@ func TestThreadsAndAtomicCounter(t *testing.T) {
 		_, code := runImage(t, img, v, config{})
 		if code != workers*iters {
 			t.Errorf("%v: counter = %d, want %d", v, code, workers*iters)
+		}
+	}
+}
+
+// TestMutualJoinDeadlocks: main joins a worker that joins main. Neither
+// can ever wake, so the run ends in a deadlock trap within a few hundred
+// steps instead of spinning to the step budget, and self-healing (which
+// needs a faulting block) quarantines nothing.
+func TestMutualJoinDeadlocks(t *testing.T) {
+	b := guestimg.NewBuilder(0x10000, 0x40000)
+	a := b.Asm
+	a.Label("worker").
+		MovRI(x86.RDI, 0).
+		MovRI(x86.RAX, GuestSysJoin).
+		Syscall()
+	exitWith(a, x86.RAX)
+	a.Label("main").
+		MovRI(x86.RAX, GuestSysSpawn).
+		MovRI(x86.RDI, 0x7777777700000000). // placeholder: worker addr
+		MovRI(x86.RSI, 0).
+		Syscall().
+		MovRR(x86.RDI, x86.RAX).
+		MovRI(x86.RAX, GuestSysJoin).
+		Syscall()
+	exitWith(a, x86.RAX)
+	img, err := b.Build("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patchImm64(t, img, 0x7777777700000000, img.Symbols["worker"])
+
+	for _, v := range allVariants {
+		rt, err := newRuntime(config{Variant: v, SelfHeal: true, MaxHeals: 16}, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rt.Run()
+		if !faults.IsKind(err, faults.TrapDeadlock) {
+			t.Fatalf("%v: got %v, want a deadlock trap", v, err)
+		}
+		if n := rt.M.TotalInsts(); n > 500 {
+			t.Errorf("%v: deadlock detected after %d steps, want a few hundred", v, n)
+		}
+		if q := rt.Stats().Quarantines; q != 0 {
+			t.Errorf("%v: deadlock quarantined %d blocks, want none", v, q)
 		}
 	}
 }

@@ -23,70 +23,54 @@ const (
 
 // handleBLR intercepts helper calls emitted by the backend (BLR into the
 // HelperBase region). Helper arguments arrive in X18/X28 per the backend
-// convention; results return in X18. Guest registers are read and written
-// directly through their host-register mapping.
+// convention; an RMW helper returns the old value in X18, while the
+// syscall helper leaves X18 untouched. Guest registers are read and
+// written directly through their host-register mapping.
 func (rt *Runtime) handleBLR(m *machine.Machine, c *machine.CPU, target uint64) (bool, error) {
 	h, size, ok := backend.HelperOf(target)
 	if !ok {
 		return false, nil
 	}
+	old, err := rt.helper(c, h, size, c.Regs[18], c.Regs[28])
+	if err == nil && h != frontend.HelperSyscall {
+		c.Regs[18] = old
+	}
+	return true, err
+}
+
+// helper runs the body of helper h on c; compiled code (handleBLR) and
+// the interpreter tier (interpHelper) share it. The RMW helpers operate
+// on size bytes at addr with operand v and return the old memory value;
+// their bodies (GCC __atomic builtins) perform one host atomic — a casal
+// for CmpXchg (§3.1, GCC ≥ 10 behaviour). The syscall helper reads its
+// arguments from the guest registers and returns 0.
+func (rt *Runtime) helper(c *machine.CPU, h tcg.Helper, size uint8, addr, v uint64) (uint64, error) {
 	rt.met.helperCalls.Inc()
-
-	arg0 := c.Regs[18]
-	arg1 := c.Regs[28]
-
+	m := rt.M
 	switch h {
-	case tcg.HelperCmpXchg:
-		// old = *(addr); if old == RAX { *(addr) = new }. The helper body
-		// (GCC __atomic builtin) performs a casal on the host (§3.1,
-		// GCC ≥ 10 behaviour).
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, arg0)
-		expected := *guestReg(c, x86.RAX)
-		old, err := m.ReadMem(arg0, size)
-		if err != nil {
-			return true, err
-		}
-		if old == truncateTo(expected, size) {
-			if err := m.WriteMem(arg0, size, arg1); err != nil {
-				return true, err
-			}
-		}
-		c.Regs[18] = old
-		return true, nil
-
-	case tcg.HelperXAdd:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, arg0)
-		old, err := m.ReadMem(arg0, size)
-		if err != nil {
-			return true, err
-		}
-		if err := m.WriteMem(arg0, size, old+arg1); err != nil {
-			return true, err
-		}
-		c.Regs[18] = old
-		return true, nil
-
-	case tcg.HelperXchg:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, arg0)
-		old, err := m.ReadMem(arg0, size)
-		if err != nil {
-			return true, err
-		}
-		if err := m.WriteMem(arg0, size, arg1); err != nil {
-			return true, err
-		}
-		c.Regs[18] = old
-		return true, nil
-
 	case frontend.HelperSyscall:
 		rt.met.syscalls.Inc()
-		return true, rt.guestSyscall(m, c)
+		return 0, rt.guestSyscall(m, c)
+	case tcg.HelperCmpXchg, tcg.HelperXAdd, tcg.HelperXchg:
+	default:
+		return 0, faults.New(faults.TrapHostCall, "core: unknown helper %d", h).WithCPU(c.ID)
 	}
-	return false, faults.New(faults.TrapHostCall,
-		"core: unknown helper %d (target %#x)", h, target).WithCPU(c.ID)
+	c.Cycles += helperBodyCost
+	m.ChargeAtomic(c, addr)
+	old, err := m.ReadMem(addr, size)
+	if err != nil {
+		return 0, err
+	}
+	switch h {
+	case tcg.HelperCmpXchg:
+		// old = *(addr); if old == RAX { *(addr) = new }.
+		if old != truncateTo(*guestReg(c, x86.RAX), size) {
+			return old, nil
+		}
+	case tcg.HelperXAdd:
+		v += old
+	}
+	return old, m.WriteMem(addr, size, v)
 }
 
 // guestSyscall implements the guest OS interface. User-mode emulation
@@ -133,26 +117,9 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		return nil
 
 	case GuestSysJoin:
-		id := a0
-		if id >= uint64(len(m.CPUs)) {
-			return fmt.Errorf("guest join: no cpu %d", id)
-		}
-		t := m.CPUs[id]
-		if !t.Halted {
-			// Re-execute the helper BLR: point the link register back at
-			// the BLR itself so the scheduler retries next quantum, and
-			// refund the call cost — a blocked join is a futex wait. The
-			// retry is not a fresh guest syscall, so uncount it.
-			c.Regs[30] = c.PC
-			if c.Cycles >= m.Cost.Call {
-				c.Cycles -= m.Cost.Call
-			}
-			rt.met.syscalls.Sub(1)
-			rt.met.helperCalls.Sub(1)
-			return nil
-		}
-		*guestReg(c, x86.RAX) = t.ExitCode
-		return nil
+		// A blocked join parks the CPU; the syscall ends its block, so
+		// the exit code reaches RAX before the joiner runs again.
+		return m.Join(c, a0, int(x86.RAX))
 
 	case GuestSysAlloc:
 		// The heap grows up toward the stacks, keeping one stack of

@@ -23,9 +23,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/faults"
-	"repro/internal/frontend"
 	"repro/internal/guestimg"
-	"repro/internal/isa/x86"
 	"repro/internal/machine"
 	"repro/internal/selfheal"
 	"repro/internal/tcg"
@@ -255,9 +253,8 @@ func (rt *Runtime) shadowVerify(c *machine.CPU, t *tb, ir *tcg.Block) *selfheal.
 // interpExec executes guestPC's cached frontend IR through the TCG
 // interpreter — the bottom tier, trusting no generated code. Globals are
 // mirrored between the interpreter and the vCPU; helper calls go through
-// interpHelper; a blocked syscall (join) rewinds the CPU to the stub so
-// the scheduler retries the block next quantum.
-func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
+// interpHelper.
+func (rt *Runtime) interpExec(c *machine.CPU, guestPC uint64) error {
 	ir, ok := rt.irCache[guestPC]
 	if !ok {
 		return faults.New(faults.TrapDecode,
@@ -277,9 +274,8 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	}
 	it := &tcg.Interp{Temps: make([]uint64, n), Mem: rt.M.Mem}
 	copy(it.Temps, c.Regs[:tcg.NumGlobals])
-	var yielded bool
 	it.OnCallEx = func(in tcg.Inst, a, b uint64) (uint64, error) {
-		return rt.interpHelper(c, it, in, a, b, &yielded)
+		return rt.interpHelper(c, it, in, a, b)
 	}
 	err := it.Run(ir)
 	copy(c.Regs[:tcg.NumGlobals], it.Temps[:tcg.NumGlobals])
@@ -289,10 +285,6 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	if err != nil {
 		return rt.interpTrap(c, guestPC, err)
 	}
-	if yielded {
-		c.PC = stubAddr
-		return nil
-	}
 	if it.Halted || c.Halted {
 		c.Halted = true
 		return nil
@@ -300,74 +292,16 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	return rt.dispatch(c, it.NextPC)
 }
 
-// interpHelper serves an interpreted block's helper call with the same
-// semantics as the compiled path's handleBLR: guest registers are read and
-// written directly, so the interpreter's globals are mirrored into the
-// vCPU around the call. The result is returned for local-temp DSTs
+// interpHelper serves an interpreted block's helper call through the
+// compiled path's helper body: guest registers are read and written
+// directly, so the interpreter's globals are mirrored into the vCPU
+// around the call. The result is returned for local-temp DSTs
 // (tcg.Interp's OnCallEx convention); global effects travel through the
 // register mirror.
-func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, b uint64, yielded *bool) (uint64, error) {
+func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, b uint64) (uint64, error) {
 	copy(c.Regs[:tcg.NumGlobals], it.Temps[:tcg.NumGlobals])
 	defer copy(it.Temps[:tcg.NumGlobals], c.Regs[:tcg.NumGlobals])
-	rt.met.helperCalls.Inc()
-	m := rt.M
-	switch in.Helper {
-	case tcg.HelperCmpXchg:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, a)
-		expected := *guestReg(c, x86.RAX)
-		old, err := m.ReadMem(a, in.Size)
-		if err != nil {
-			return 0, err
-		}
-		if old == truncateTo(expected, in.Size) {
-			if err := m.WriteMem(a, in.Size, b); err != nil {
-				return 0, err
-			}
-		}
-		return old, nil
-
-	case tcg.HelperXAdd:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, a)
-		old, err := m.ReadMem(a, in.Size)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.WriteMem(a, in.Size, old+b); err != nil {
-			return 0, err
-		}
-		return old, nil
-
-	case tcg.HelperXchg:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, a)
-		old, err := m.ReadMem(a, in.Size)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.WriteMem(a, in.Size, b); err != nil {
-			return 0, err
-		}
-		return old, nil
-
-	case frontend.HelperSyscall:
-		if *guestReg(c, x86.RAX) == GuestSysJoin {
-			id := *guestReg(c, x86.RDI)
-			if id < uint64(len(m.CPUs)) && !m.CPUs[id].Halted {
-				// Blocked join: yield without consuming the syscall —
-				// the block (isolated by the frontend's SyscallBarrier)
-				// retries from its stub next quantum.
-				rt.met.helperCalls.Sub(1)
-				*yielded = true
-				return 0, nil
-			}
-		}
-		rt.met.syscalls.Inc()
-		return 0, rt.guestSyscall(m, c)
-	}
-	return 0, faults.New(faults.TrapHostCall,
-		"core: unknown helper %d in interpreted block", in.Helper).WithCPU(c.ID)
+	return rt.helper(c, in.Helper, in.Size, a, b)
 }
 
 // interpTrap converts interpreter-internal failures into structured traps

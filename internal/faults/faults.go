@@ -1,7 +1,7 @@
 // Package faults is the failure model of the Risotto-Go stack: a typed
 // trap taxonomy shared by the DBT runtime (internal/core), the simulated
 // host machine (internal/machine), the guest frontend (internal/frontend)
-// and the litmus enumeration engine (internal/litmus), plus a seeded,
+// and the litmus enumeration engine (internal/litmus), plus a
 // deterministic fault injector used by the fault-matrix differential
 // tests and the CLIs' -fault flag.
 //
@@ -17,7 +17,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,6 +58,11 @@ const (
 	// interpreter. The self-healing tier ladder recovers it by
 	// quarantining the block and retranslating one tier down.
 	TrapMiscompile
+	// TrapDeadlock is a machine on which no CPU can run although some
+	// have not halted: every live CPU is parked in a join that can never
+	// complete (a self-join, a mutual join). It names a parked CPU but no
+	// PC, since no instruction is at fault.
+	TrapDeadlock
 )
 
 var kindNames = [...]string{
@@ -70,6 +74,7 @@ var kindNames = [...]string{
 	TrapHostCall:       "host-call",
 	TrapWorkerPanic:    "worker-panic",
 	TrapMiscompile:     "miscompile",
+	TrapDeadlock:       "deadlock",
 }
 
 // KindNames lists every trap kind's wire name, indexed by TrapKind — the
@@ -254,7 +259,6 @@ type plan struct {
 // injector is configured.
 type Injector struct {
 	mu     sync.Mutex
-	rng    *rand.Rand
 	counts map[Site]uint64
 	plans  map[Site][]*plan
 
@@ -277,11 +281,11 @@ func (in *Injector) SetObs(root *obs.Scope) {
 	in.injected = in.sc.Counter("injected")
 }
 
-// NewInjector returns an injector whose auto-armed occurrence choices are
-// driven by seed (explicit Arm calls are fully deterministic regardless).
+// NewInjector returns an injector with no armed plans. Every plan names
+// its occurrence, so injection is fully deterministic; the seed is no
+// longer consulted and survives only as recorded run provenance.
 func NewInjector(seed int64) *Injector {
 	return &Injector{
-		rng:    rand.New(rand.NewSource(seed)),
 		counts: make(map[Site]uint64),
 		plans:  make(map[Site][]*plan),
 	}
@@ -296,20 +300,6 @@ func (in *Injector) Arm(site Site, nth uint64, kind TrapKind) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.plans[site] = append(in.plans[site], &plan{nth: nth, kind: kind})
-}
-
-// ArmAuto schedules a one-shot trap at a seed-chosen occurrence in
-// [1, within] (within <= 0 defaults to 16). The choice is deterministic
-// for a given injector seed and Arm/ArmAuto call sequence.
-func (in *Injector) ArmAuto(site Site, kind TrapKind, within int) uint64 {
-	if within <= 0 {
-		within = 16
-	}
-	in.mu.Lock()
-	nth := uint64(1 + in.rng.Intn(within))
-	in.plans[site] = append(in.plans[site], &plan{nth: nth, kind: kind})
-	in.mu.Unlock()
-	return nth
 }
 
 // Hit records one occurrence of site and returns a trap if an armed plan
@@ -343,27 +333,6 @@ func (in *Injector) Count(site Site) uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.counts[site]
-}
-
-// Pending returns descriptions of armed-but-unfired plans, sorted — a run
-// that was supposed to inject a fault but never reached the site reports
-// these rather than silently passing.
-func (in *Injector) Pending() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var out []string
-	for site, ps := range in.plans {
-		for _, p := range ps {
-			if !p.fired {
-				out = append(out, fmt.Sprintf("%s@%d:%s", site, p.nth, p.kind))
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---- CLI fault specs --------------------------------------------------

@@ -106,36 +106,6 @@ func TestInjectorNilSafe(t *testing.T) {
 	if in.Count(SiteStep) != 0 {
 		t.Error("nil injector counted")
 	}
-	if in.Pending() != nil {
-		t.Error("nil injector has pending plans")
-	}
-}
-
-func TestInjectorPending(t *testing.T) {
-	in := NewInjector(1)
-	in.Arm(SiteHostCall, 2, TrapHostCall)
-	in.Hit(SiteHostCall) // occurrence 1: not fired
-	p := in.Pending()
-	if len(p) != 1 || !strings.Contains(p[0], "host-call@2") {
-		t.Errorf("Pending = %v", p)
-	}
-	in.Hit(SiteHostCall) // fires
-	if len(in.Pending()) != 0 {
-		t.Errorf("Pending after fire = %v", in.Pending())
-	}
-}
-
-func TestArmAutoDeterministic(t *testing.T) {
-	a := NewInjector(42)
-	b := NewInjector(42)
-	na := a.ArmAuto(SiteStep, TrapBudget, 8)
-	nb := b.ArmAuto(SiteStep, TrapBudget, 8)
-	if na != nb {
-		t.Errorf("same seed chose different occurrences: %d vs %d", na, nb)
-	}
-	if na < 1 || na > 8 {
-		t.Errorf("occurrence %d outside [1,8]", na)
-	}
 }
 
 func TestParseSpec(t *testing.T) {

@@ -37,13 +37,6 @@ type Config struct {
 	CAS CASStrategy
 	// MaxInsts bounds guest instructions per block (default 64).
 	MaxInsts int
-	// SyscallBarrier isolates each SYSCALL into its own block: a block
-	// that would contain a SYSCALL after earlier instructions ends before
-	// it instead, so the syscall is always the first (and only) guest
-	// instruction of its block. The interpreter execution tier needs
-	// this: a blocked syscall (futex-style join) is retried by re-entering
-	// the block, which must therefore carry no prior side effects.
-	SyscallBarrier bool
 	// Inject, when non-nil, forces decode traps at instrumented decode
 	// sites (fault-matrix testing).
 	Inject *faults.Injector
@@ -131,14 +124,6 @@ func Translate(mem []byte, pc uint64, cfg Config) (*tcg.Block, error) {
 		inst, size, err := x86.Decode(mem[cur:])
 		if err != nil {
 			return nil, faults.Wrap(faults.TrapDecode, err, "frontend: guest decode").WithGuestPC(cur)
-		}
-		if cfg.SyscallBarrier && inst.Op == x86.SYSCALL && n > 0 {
-			// End the block before the syscall; the dispatcher re-enters
-			// at cur and translates the syscall as its own block.
-			tr.b.Exit(cur)
-			tr.b.GuestEnd = cur
-			done()
-			return tr.b, nil
 		}
 		next := cur + uint64(size)
 		if err := tr.emit(inst, next); err != nil {

@@ -51,7 +51,7 @@ type Machine struct {
 	Inject *faults.Injector
 
 	// Syscall handles SVC instructions. The PC has already been advanced
-	// past the SVC; the handler may rewind it to block.
+	// past the SVC; a handler that must block calls Join.
 	Syscall func(m *Machine, c *CPU, imm uint16) error
 	// OnBLR, when non-nil, may intercept BLR targets (the DBT uses this
 	// for helper calls and host-library dispatch). If it reports handled,
@@ -114,6 +114,11 @@ type CPU struct {
 	Halted bool
 	// ExitCode is the value passed to the exit syscall.
 	ExitCode uint64
+
+	// joinOn, when non-nil, is the CPU this one is parked on (see Join);
+	// its exit code goes to Regs[joinDst] on wake-up.
+	joinOn  *CPU
+	joinDst int
 
 	// Exclusive monitor state.
 	monAddr  uint64
@@ -355,9 +360,10 @@ func (c *CPU) cond(cc arm.Cond) bool {
 
 // --- Scheduling ---------------------------------------------------------------
 
-// Step executes one instruction on c. Halted CPUs are a no-op.
+// Step executes one instruction on c. Halted CPUs, and CPUs parked in a
+// join whose target is still live, are a no-op.
 func (m *Machine) Step(c *CPU) error {
-	if c.Halted {
+	if !wake(c) {
 		return nil
 	}
 	inst, ok := m.decodeCache[c.PC]
@@ -394,13 +400,16 @@ func (m *Machine) Run(c *CPU, maxSteps uint64) error {
 	return budgetTrap(c, maxSteps, "step budget %d exhausted", maxSteps)
 }
 
-// RunAll interleaves every live CPU round-robin, quantum instructions at a
-// time, until all halt or a budget expires: the per-machine maxSteps, the
-// per-CPU StepBudget, or the wall-clock Deadline. Budget expiry returns a
-// structured faults.TrapBudget, so a runaway or livelocked guest degrades
-// to a typed, reportable halt instead of an unbounded spin. CPUs added
-// during execution (spawn) join the rotation. An installed Chooser may
-// override each quantum's CPU pick (NextCPU -1 keeps the round-robin).
+// RunAll interleaves every runnable CPU round-robin, quantum instructions
+// at a time, until all halt or a budget expires: the per-machine maxSteps,
+// the per-CPU StepBudget, or the wall-clock Deadline. Budget expiry
+// returns a structured faults.TrapBudget, so a runaway or livelocked guest
+// degrades to a typed, reportable halt instead of an unbounded spin. CPUs
+// added during execution (spawn) join the rotation. A CPU parked in a join
+// ends its quantum at once and is skipped until its target halts; if
+// every live CPU is parked, RunAll returns a faults.TrapDeadlock. An
+// installed Chooser may override each quantum's CPU pick (NextCPU -1
+// keeps the round-robin).
 func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	if quantum <= 0 {
 		quantum = 64
@@ -420,12 +429,17 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	rr := 0 // round-robin cursor: next CPU ID to consider
 	for {
 		runnable = runnable[:0]
+		live := false
 		for _, c := range m.CPUs {
-			if !c.Halted {
+			live = live || !c.Halted
+			if wake(c) {
 				runnable = append(runnable, c.ID)
 			}
 		}
 		if len(runnable) == 0 {
+			if live {
+				return m.deadlockTrap()
+			}
 			return nil
 		}
 		// The chooser may pick any runnable CPU; -1 (or no chooser) falls
@@ -433,7 +447,7 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 		var c *CPU
 		if m.chooser != nil {
 			if id := m.chooser.NextCPU(runnable); id >= 0 {
-				if id >= len(m.CPUs) || m.CPUs[id].Halted {
+				if id >= len(m.CPUs) || !wake(m.CPUs[id]) {
 					return fmt.Errorf("machine: chooser picked unrunnable CPU %d", id)
 				}
 				c = m.CPUs[id]
@@ -459,7 +473,7 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			t.Steps = c.Insts
 			return t.WithCPU(c.ID).WithHostPC(c.PC)
 		}
-		for q := 0; q < quantum && !c.Halted; q++ {
+		for q := 0; q < quantum && !c.Halted && c.joinOn == nil; q++ {
 			if err := m.Step(c); err != nil {
 				return err
 			}

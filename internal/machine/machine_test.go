@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/isa/arm"
 )
 
@@ -249,6 +250,78 @@ func TestSpawnJoin(t *testing.T) {
 	}
 	if c.Regs[4] != 99 {
 		t.Fatalf("worker store not visible: %d", c.Regs[4])
+	}
+}
+
+// joinMachine builds a two-CPU machine: CPU 0 joins CPU 1, which counts to
+// spins before exiting with code 5.
+func joinMachine(t *testing.T, spins uint64) *Machine {
+	m, syms := loadProgram(t, 0x1000, func(a *arm.Assembler) {
+		a.Label("joiner").
+			MovImm(arm.X0, 1).
+			MovImm(arm.X8, SysJoin).
+			Svc(0).
+			Hlt()
+		a.Label("target").
+			MovImm(arm.X1, 0).
+			MovImm(arm.X2, spins).
+			Label("loop").
+			AddI(arm.X1, arm.X1, 1).
+			Cmp(arm.X1, arm.X2).
+			BCondLabel(arm.LO, "loop").
+			MovImm(arm.X0, 5).
+			MovImm(arm.X8, SysExit).
+			Svc(0)
+	})
+	m.CPUs[0].PC = syms["joiner"]
+	m.AddCPU().PC = syms["target"]
+	return m
+}
+
+// TestJoinParksJoiner: a blocked join parks the joiner like a futex wait,
+// so what the joiner executes and is charged does not depend on how long
+// its target runs.
+func TestJoinParksJoiner(t *testing.T) {
+	var insts, cycles []uint64
+	for _, spins := range []uint64{1, 50, 2000} {
+		m := joinMachine(t, spins)
+		if err := m.RunAll(8, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		c := m.CPUs[0]
+		if c.Regs[0] != 5 {
+			t.Fatalf("spins %d: join returned %d, want the target's exit code 5", spins, c.Regs[0])
+		}
+		insts = append(insts, c.Insts)
+		cycles = append(cycles, c.Cycles)
+	}
+	for i := 1; i < len(insts); i++ {
+		if insts[i] != insts[0] || cycles[i] != cycles[0] {
+			t.Fatalf("joiner insts %v cycles %v vary with the target's run length", insts, cycles)
+		}
+	}
+}
+
+// TestSelfJoinDeadlocks: a CPU joining itself can never wake, so RunAll
+// reports a deadlock at once instead of spinning to its step budget, and
+// names the CPU but no PC.
+func TestSelfJoinDeadlocks(t *testing.T) {
+	m, _ := loadProgram(t, 0x1000, func(a *arm.Assembler) {
+		a.MovImm(arm.X0, 0).
+			MovImm(arm.X8, SysJoin).
+			Svc(0).
+			Hlt()
+	})
+	err := m.RunAll(16, 1_000_000)
+	tr, ok := faults.As(err)
+	if !ok || tr.Kind != faults.TrapDeadlock {
+		t.Fatalf("self-join: got %v, want a deadlock trap", err)
+	}
+	if tr.CPU != 0 || tr.PC != 0 {
+		t.Errorf("deadlock trap attributed cpu=%d pc=%#x, want cpu 0 and no pc", tr.CPU, tr.PC)
+	}
+	if n := m.TotalInsts(); n > 300 {
+		t.Errorf("deadlock detected after %d steps, want a few", n)
 	}
 }
 

@@ -1,6 +1,11 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/faults"
+)
 
 // Native syscall ABI for Arm programs built with internal/isa/arm's
 // assembler (the "native" series of the benchmarks): syscall number in X8,
@@ -17,8 +22,8 @@ const (
 	// SysSpawn starts a new CPU at PC=X0 with X0=arg(X1) and the stack
 	// pointer register (X27 by convention) set to X2. Returns the CPU id.
 	SysSpawn = 220
-	// SysJoin blocks until CPU X0 halts (the scheduler re-executes the
-	// SVC until then). Returns the target's exit code.
+	// SysJoin blocks until CPU X0 halts (see Machine.Join). Returns the
+	// target's exit code.
 	SysJoin = 221
 )
 
@@ -48,22 +53,67 @@ func NativeSyscall(m *Machine, c *CPU, imm uint16) error {
 		c.Regs[0] = uint64(nc.ID)
 		return nil
 	case SysJoin:
-		id := c.Regs[0]
-		if id >= uint64(len(m.CPUs)) {
-			return fmt.Errorf("join syscall: no cpu %d", id)
-		}
-		t := m.CPUs[id]
-		if !t.Halted {
-			// Rewind to the SVC so the scheduler retries. A blocked join
-			// models a futex wait: refund the trap cost so the joiner
-			// does not accrue simulated time while parked.
-			c.PC -= 4
-			c.Cycles -= m.Cost.Svc
-			return nil
-		}
-		c.Regs[0] = t.ExitCode
-		return nil
+		return m.Join(c, c.Regs[0], 0)
 	default:
 		return fmt.Errorf("native syscall: unknown number %d (svc #%d)", c.Regs[8], imm)
 	}
+}
+
+// Join implements every runtime's join syscall: c waits for CPU target to
+// halt and then receives its exit code in Regs[dst]. A halted target
+// delivers at once; otherwise c parks, like a futex wait, and RunAll wakes
+// it, filling Regs[dst], once the target has halted. A parked CPU
+// executes nothing and accrues no cycles. Joining synchronizes with the
+// target's exit, so c's weak-mode store buffer drains first: a parked CPU
+// must not hold stores another thread is waiting on.
+func (m *Machine) Join(c *CPU, target uint64, dst int) error {
+	if target >= uint64(len(m.CPUs)) {
+		return fmt.Errorf("join: no cpu %d", target)
+	}
+	if err := m.FlushWeak(c); err != nil {
+		return err
+	}
+	t := m.CPUs[target]
+	if t.Halted {
+		c.Regs[dst] = t.ExitCode
+		return nil
+	}
+	c.joinOn, c.joinDst = t, dst
+	return nil
+}
+
+// wake reports whether c may run: not halted, and not parked in a join
+// whose target is still live. A join whose target has halted completes
+// here.
+func wake(c *CPU) bool {
+	if c.Halted {
+		return false
+	}
+	if t := c.joinOn; t != nil {
+		if !t.Halted {
+			return false
+		}
+		c.Regs[c.joinDst] = t.ExitCode
+		c.joinOn = nil
+	}
+	return true
+}
+
+// deadlockTrap reports that no CPU can run although some have not halted:
+// every live CPU is parked in a join that can never complete. It names
+// the first such CPU but no PC, as no instruction is at fault.
+func (m *Machine) deadlockTrap() error {
+	var waits []string
+	first := -1
+	for _, c := range m.CPUs {
+		if c.Halted {
+			continue
+		}
+		if first < 0 {
+			first = c.ID
+		}
+		waits = append(waits, fmt.Sprintf("cpu %d joins cpu %d", c.ID, c.joinOn.ID))
+	}
+	return faults.New(faults.TrapDeadlock, "every live cpu is blocked: %s",
+		strings.Join(waits, ", ")).WithCPU(first)
 }

@@ -253,3 +253,43 @@ func TestWeakModeAtomicsFlush(t *testing.T) {
 		t.Fatalf("casal did not commit: %d", v)
 	}
 }
+
+// TestJoinDrainsJoinerStores: join synchronizes, so the joiner's buffered
+// stores drain before it parks. With a nil chooser nothing else ever
+// drains them, and a target spinning on the joiner's flag would otherwise
+// never see it.
+func TestJoinDrainsJoinerStores(t *testing.T) {
+	a := arm.NewAssembler()
+	a.Label("joiner").
+		MovImm(arm.X1, 0x8000).
+		MovImm(arm.X2, 1).
+		Str(arm.X2, arm.X1, 0, 8).
+		MovImm(arm.X0, 1).
+		MovImm(arm.X8, SysJoin).
+		Svc(0).
+		Hlt()
+	a.Label("target").
+		MovImm(arm.X1, 0x8000).
+		Label("spin").
+		Ldr(arm.X2, arm.X1, 0, 8).
+		CbzLabel(arm.X2, "spin").
+		MovImm(arm.X0, 3).
+		MovImm(arm.X8, SysExit).
+		Svc(0)
+	code, syms, err := a.Assemble(0x1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(1 << 16)
+	m.Syscall = NativeSyscall
+	copy(m.Mem[0x1000:], code)
+	m.EnableWeakMode(nil)
+	m.CPUs[0].PC = syms["joiner"]
+	m.AddCPU().PC = syms["target"]
+	if err := m.RunAll(4, 100_000); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CPUs[0].Regs[0]; got != 3 {
+		t.Fatalf("join returned %d, want the target's exit code 3", got)
+	}
+}

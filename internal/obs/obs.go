@@ -28,9 +28,9 @@ import (
 
 // --- Metric primitives -------------------------------------------------------
 
-// Counter is a monotonic (with a narrow correction escape hatch, see Sub)
-// uint64 metric. The zero value is ready to use; a nil *Counter is a
-// no-op, so handles from a nil Scope can be used unconditionally.
+// Counter is a monotonic uint64 metric. The zero value is ready to use; a
+// nil *Counter is a no-op, so handles from a nil Scope can be used
+// unconditionally.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -44,15 +44,6 @@ func (c *Counter) Add(n uint64) {
 		return
 	}
 	c.v.Add(n)
-}
-
-// Sub subtracts n. It exists for the rare uncount (a retried guest
-// syscall is not a fresh syscall); general counters should only go up.
-func (c *Counter) Sub(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(^(n - 1))
 }
 
 // Load returns the current value; 0 on a nil counter.

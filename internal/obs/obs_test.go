@@ -42,15 +42,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-func TestCounterSub(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Sub(2)
-	if got := c.Load(); got != 3 {
-		t.Errorf("after Add(5);Sub(2): %d, want 3", got)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var s *Scope
 	// None of these may panic; all reads come back zero.

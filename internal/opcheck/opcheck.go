@@ -22,7 +22,6 @@ import (
 	"repro/internal/litmus"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
-	"repro/internal/models"
 )
 
 // ErrUnsupported marks programs outside the compilable subset (exotic
@@ -461,17 +460,6 @@ func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
 		}
 	}
 	return out, nil
-}
-
-// CheckSoundNamed is CheckSound with the model resolved by name through
-// the default registry, so drivers can take a -model flag without knowing
-// any concrete model package.
-func CheckSoundNamed(p *litmus.Program, model string, seeds int, opts ...litmus.Option) ([]litmus.Outcome, error) {
-	m, err := models.Default().Lookup(model)
-	if err != nil {
-		return nil, err
-	}
-	return CheckSound(p, m, seeds, opts...)
 }
 
 // CheckSound verifies that every operationally observed outcome of p is

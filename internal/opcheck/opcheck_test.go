@@ -24,7 +24,7 @@ func TestSoundnessOnClassicCorpus(t *testing.T) {
 	for _, p := range programs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			bad, err := CheckSoundNamed(p, "arm", seeds)
+			bad, err := CheckSound(p, models.MustLookup("arm"), seeds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestReleaseStorePublishes(t *testing.T) {
 		t.Fatal("release store failed to publish the earlier write")
 	}
 	// And the axiomatic model agrees the observations are fine.
-	bad, err := CheckSoundNamed(p, "Arm-Cats", 30)
+	bad, err := CheckSound(p, models.MustLookup("Arm-Cats"), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSoundnessOnRandomPrograms(t *testing.T) {
 			}
 			p.Threads = append(p.Threads, ops)
 		}
-		bad, err := CheckSoundNamed(p, "armcats", 20)
+		bad, err := CheckSound(p, models.MustLookup("armcats"), 20)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -182,7 +182,7 @@ func TestCASProgramsCompileAndCheckSound(t *testing.T) {
 	for _, p := range []*litmus.Program{litmus.MPQ(), litmus.SBQ(), litmus.SBAL()} {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			bad, err := CheckSoundNamed(p, "arm", 30)
+			bad, err := CheckSound(p, models.MustLookup("arm"), 30)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,10 +3,11 @@
 #
 #   ./scripts/check.sh
 #
-# It runs a gofmt check (any file `gofmt -l` lists fails), vet, a full
-# build, the full test suite, and — because the litmus enumerator and its
-# memoization cache are concurrent subsystems — the race detector over the
-# packages that exercise them. Two rel-engine stages ride
+# It runs a gofmt check (any file `gofmt -l` lists fails), vet (of the
+# root module and of the separate perfbench module), a full build, the
+# full test suite, and — because the litmus enumerator and its memoization
+# cache are concurrent subsystems — the race detector over the packages
+# that exercise them. Two rel-engine stages ride
 # along: the -tags relmap differential run proves the reference map engine
 # still satisfies the whole memmodel/models/litmus stack (so the default
 # bitset engine is pinned against it), and a one-iteration bench smoke keeps
@@ -24,6 +25,11 @@ unformatted=$(gofmt -l .)
 
 echo "==> go vet ./..."
 go vet ./...
+
+# perfbench is a module of its own, so the root build and vet skip it;
+# vetting it here catches an API change that would break the benchmark.
+echo "==> (cd perfbench && go vet ./...)"
+(cd perfbench && go vet ./...)
 
 echo "==> go build ./..."
 go build ./...
