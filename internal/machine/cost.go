@@ -71,7 +71,7 @@ func DefaultCost() CostTable {
 
 // Of returns the base cost of an opcode. DMB returns 0: the flavour-
 // specific cost is charged by the interpreter via OfBarrier.
-func (t CostTable) Of(op arm.Op) uint64 {
+func (t *CostTable) Of(op arm.Op) uint64 {
 	switch op {
 	case arm.NOP, arm.HLT:
 		return 0
@@ -103,7 +103,7 @@ func (t CostTable) Of(op arm.Op) uint64 {
 }
 
 // OfBarrier returns the cost of a DMB flavour.
-func (t CostTable) OfBarrier(b arm.Barrier) uint64 {
+func (t *CostTable) OfBarrier(b arm.Barrier) uint64 {
 	switch b {
 	case arm.BarrierLoad:
 		return t.DMBLoad

@@ -9,7 +9,7 @@ import (
 
 // exec executes a decoded instruction on c, charging its cost and advancing
 // the PC.
-func (m *Machine) exec(c *CPU, inst arm.Inst) error {
+func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 	c.Insts++
 	c.Cycles += m.Cost.Of(inst.Op)
 	next := c.PC + arm.InstBytes
@@ -290,10 +290,10 @@ func (m *Machine) exec(c *CPU, inst arm.Inst) error {
 		next = c.reg(arm.LR)
 
 	case arm.SVC:
-		c.PC = next
 		if m.Syscall == nil {
-			return fmt.Errorf("cpu%d: svc #%d with no syscall handler", c.ID, inst.Imm)
+			return cpuErr(c, faults.New(faults.TrapDecode, "svc #%d with no syscall handler", inst.Imm))
 		}
+		c.PC = next
 		if err := m.Syscall(m, c, uint16(inst.Imm)); err != nil {
 			return cpuErr(c, err)
 		}

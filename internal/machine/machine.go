@@ -39,9 +39,9 @@ type Machine struct {
 	Cost CostTable
 
 	// StepBudget, when non-zero, bounds each CPU's executed instruction
-	// count: a CPU that reaches it makes RunAll return a structured
-	// faults.TrapBudget — the watchdog that halts runaway or livelocked
-	// guests instead of spinning forever.
+	// count: a CPU that reaches it without halting makes RunAll return a
+	// structured faults.TrapBudget — the watchdog that halts runaway or
+	// livelocked guests instead of spinning forever.
 	StepBudget uint64
 	// Deadline, when non-zero, is a wall-clock watchdog for RunAll,
 	// measured from its invocation.
@@ -73,7 +73,9 @@ type Machine struct {
 	// 64-byte line, for the contention penalty.
 	lineOwner map[uint64]int
 
-	decodeCache map[uint64]arm.Inst
+	// decoded is the predecoded host stream Step fetches through (see
+	// decode.go).
+	decoded decodeTable
 
 	// weak, when non-nil, enables the operational weak-memory mode
 	// (store buffers with out-of-order drain; see weak.go).
@@ -129,10 +131,9 @@ type CPU struct {
 // New creates a machine with memSize bytes of memory and one CPU.
 func New(memSize int) *Machine {
 	m := &Machine{
-		Mem:         make([]byte, memSize),
-		Cost:        DefaultCost(),
-		lineOwner:   make(map[uint64]int),
-		decodeCache: make(map[uint64]arm.Inst),
+		Mem:       make([]byte, memSize),
+		Cost:      DefaultCost(),
+		lineOwner: make(map[uint64]int),
 	}
 	m.AddCPU()
 	return m
@@ -203,19 +204,6 @@ func (m *Machine) record(addr uint64, size uint8, write, local bool) {
 	if m.accLogOn {
 		m.accLog = append(m.accLog, MemAccess{Addr: addr, Size: size, Write: write, Local: local})
 	}
-}
-
-// InvalidateDecodeCache drops cached decodes; callers that rewrite already-
-// executed code must invoke it. (The DBT only ever appends fresh code, so
-// translation never needs it; TB chaining patches single instructions and
-// uses InvalidateDecodeAt.)
-func (m *Machine) InvalidateDecodeCache() {
-	m.decodeCache = make(map[uint64]arm.Inst)
-}
-
-// InvalidateDecodeAt drops one address's cached decode after a code patch.
-func (m *Machine) InvalidateDecodeAt(addr uint64) {
-	delete(m.decodeCache, addr)
 }
 
 // reg reads a register, honouring XZR.
@@ -366,17 +354,12 @@ func (m *Machine) Step(c *CPU) error {
 	if !wake(c) {
 		return nil
 	}
-	inst, ok := m.decodeCache[c.PC]
-	if !ok {
-		if err := m.check(c.PC, arm.InstBytes); err != nil {
-			return cpuErr(c, fmt.Errorf("fetch: %w", err))
-		}
+	inst := m.decoded.lookup(c.PC)
+	if inst == nil {
 		var err error
-		inst, err = arm.DecodeAt(m.Mem, int(c.PC))
-		if err != nil {
-			return cpuErr(c, faults.Wrap(faults.TrapDecode, err, "host instruction decode"))
+		if inst, err = m.fill(c); err != nil {
+			return err
 		}
-		m.decodeCache[c.PC] = inst
 	}
 	if err := m.exec(c, inst); err != nil {
 		return err
@@ -387,17 +370,18 @@ func (m *Machine) Step(c *CPU) error {
 	return nil
 }
 
-// Run executes a single CPU until it halts or maxSteps elapse.
+// Run executes a single CPU until it halts or maxSteps elapse. A CPU
+// that halts on its maxSteps-th step has not exhausted the budget.
 func (m *Machine) Run(c *CPU, maxSteps uint64) error {
-	for i := uint64(0); i < maxSteps; i++ {
-		if c.Halted {
-			return nil
+	for i := uint64(0); !c.Halted; i++ {
+		if i == maxSteps {
+			return budgetTrap(c, maxSteps, "step budget %d exhausted", maxSteps)
 		}
 		if err := m.Step(c); err != nil {
 			return err
 		}
 	}
-	return budgetTrap(c, maxSteps, "step budget %d exhausted", maxSteps)
+	return nil
 }
 
 // RunAll interleaves every runnable CPU round-robin, quantum instructions
@@ -481,7 +465,7 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			if total > maxSteps {
 				return budgetTrap(c, total, "machine step budget %d exhausted", maxSteps)
 			}
-			if m.StepBudget != 0 && c.Insts >= m.StepBudget {
+			if m.StepBudget != 0 && c.Insts >= m.StepBudget && !c.Halted {
 				return budgetTrap(c, c.Insts, "per-CPU step budget %d exhausted", m.StepBudget)
 			}
 			// The wall-clock watchdog is polled every 1024 steps: cheap

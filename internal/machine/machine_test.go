@@ -411,3 +411,43 @@ func TestRunAllBudget(t *testing.T) {
 		t.Fatal("infinite loop must exhaust the step budget")
 	}
 }
+
+// TestRunHaltsOnLastAllowedStep checks that a CPU halting on exactly its
+// last allowed step is a clean halt under both budgets: Run's maxSteps
+// and RunAll's per-CPU StepBudget. One step fewer is still a budget trap.
+func TestRunHaltsOnLastAllowedStep(t *testing.T) {
+	prog := func(a *arm.Assembler) { a.AddI(arm.X0, arm.X0, 1).Hlt() }
+	for _, steps := range []uint64{2, 1} {
+		want := steps < 2
+		m, _ := loadProgram(t, 0x1000, prog)
+		err := m.Run(m.CPUs[0], steps)
+		if got := faults.IsKind(err, faults.TrapBudget); got != want {
+			t.Errorf("Run(c, %d): err = %v, want budget trap %v", steps, err, want)
+		}
+
+		m, _ = loadProgram(t, 0x1000, prog)
+		m.StepBudget = steps
+		err = m.RunAll(16, 1000)
+		if got := faults.IsKind(err, faults.TrapBudget); got != want {
+			t.Errorf("RunAll with StepBudget %d: err = %v, want budget trap %v", steps, err, want)
+		}
+		if !want && !m.CPUs[0].Halted {
+			t.Errorf("StepBudget %d: CPU did not halt", steps)
+		}
+	}
+}
+
+// TestSVCWithoutHandlerTraps checks an SVC on a machine with no syscall
+// handler is a typed TrapDecode attributed to the CPU and the SVC's PC.
+func TestSVCWithoutHandlerTraps(t *testing.T) {
+	m, _ := loadProgram(t, 0x1000, func(a *arm.Assembler) { a.Nop().Svc(5).Hlt() })
+	m.Syscall = nil
+	err := m.Run(m.CPUs[0], 100)
+	tr, ok := faults.As(err)
+	if !ok || tr.Kind != faults.TrapDecode {
+		t.Fatalf("err = %v, want a TrapDecode", err)
+	}
+	if tr.CPU != 0 || tr.PC != 0x1004 || tr.GuestPC {
+		t.Fatalf("trap attributed to cpu%d pc %#x (guest %v), want cpu0 host pc 0x1004", tr.CPU, tr.PC, tr.GuestPC)
+	}
+}

@@ -6,11 +6,7 @@
 
 package machine
 
-import (
-	"fmt"
-
-	"repro/internal/isa/arm"
-)
+import "fmt"
 
 // WeakSnapshot captures the weak-memory mode's state: every CPU's pending
 // store buffer, the global store sequence counter, and the chooser's
@@ -103,18 +99,17 @@ func (s *Snapshot) ShadowMachine() *Machine {
 		}
 	}
 	return &Machine{
-		Mem:         mem,
-		CPUs:        []*CPU{&cpu},
-		Cost:        DefaultCost(),
-		lineOwner:   make(map[uint64]int),
-		decodeCache: make(map[uint64]arm.Inst),
+		Mem:       mem,
+		CPUs:      []*CPU{&cpu},
+		Cost:      DefaultCost(),
+		lineOwner: make(map[uint64]int),
 	}
 }
 
 // Restore writes the snapshot back into m and c — the inverse of Snapshot,
 // for callers that executed destructively on the live machine. The CPU's
-// identity is preserved; the decode cache is dropped because memory
-// (including the code cache) is rewritten wholesale. Weak-mode state
+// identity is preserved; the predecoded host stream is dropped because
+// memory (including the code cache) is rewritten wholesale. Weak-mode state
 // (buffers, sequence counter, chooser cursor) is restored when the
 // snapshot carries it; restoring a weak snapshot onto a machine whose mode
 // or chooser cannot accept it is a programming error and panics.
@@ -123,7 +118,7 @@ func (m *Machine) Restore(c *CPU, s *Snapshot) {
 	id := c.ID
 	*c = s.CPU
 	c.ID = id
-	m.decodeCache = make(map[uint64]arm.Inst)
+	m.InvalidateDecodeCache()
 	if s.Weak == nil {
 		if m.weak != nil {
 			// Snapshot predates weak mode: no store was buffered then.

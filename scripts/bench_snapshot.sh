@@ -11,9 +11,11 @@
 # the campaign per-test verdict pipeline (BenchmarkCampaignTest, whose
 # tests/s metric is the serial campaign throughput), the tier-up JIT
 # on/off pairs (BenchmarkTierUp, whose sim_cycles_per_op ratio is the
-# hot-block promotion speedup), and the operational exploration engine
+# hot-block promotion speedup), the operational exploration engine
 # (BenchmarkExplore: states_per_sec transition throughput and the
-# coverage_pct of allowed outcomes a full DPOR enumeration reaches).
+# coverage_pct of allowed outcomes a full DPOR enumeration reaches), and
+# the host-machine interpretation layer (BenchmarkInterpreter: ns per
+# run of a fixed ALU loop whose sim_insts_per_op instructions it counts).
 # check.sh runs this with a short -benchtime as a smoke stage; for numbers
 # worth comparing across machines use BENCHTIME=2s or more.
 set -euo pipefail
@@ -24,6 +26,7 @@ OUT="${1:-BENCH_litmus.json}"
 
 raw="$(
   go test -run '^$' -bench 'BenchmarkRelOps' -benchtime "$BENCHTIME" ./internal/rel/
+  go test -run '^$' -bench 'BenchmarkInterpreter' -benchtime "$BENCHTIME" ./internal/machine/
   go test -run '^$' -bench 'BenchmarkOutcomesParallel|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' -benchtime "$BENCHTIME" .
 )"
 
@@ -44,6 +47,7 @@ $1 ~ /^Benchmark/ && $4 == "ns/op" {
     if ($(i+1) == "allocs/op") printf ", \"allocs_per_op\": %s", $i
     if ($(i+1) == "tests/s")   printf ", \"tests_per_sec\": %s", $i
     if ($(i+1) == "simcycles/op") printf ", \"sim_cycles_per_op\": %s", $i
+    if ($(i+1) == "siminsts/op")  printf ", \"sim_insts_per_op\": %s", $i
     if ($(i+1) == "xmerges/op")   printf ", \"cross_block_fence_merges\": %s", $i
     if ($(i+1) == "states/s")     printf ", \"states_per_sec\": %s", $i
     if ($(i+1) == "coverage%")    printf ", \"coverage_pct\": %s", $i
